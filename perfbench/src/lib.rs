@@ -153,6 +153,17 @@ fn command_line(program: &str, args: &[&str]) -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The checked-out git revision, or `unknown` outside a git checkout. Git
+/// runs only when the working directory is itself a checkout, so it never
+/// searches the directories above it.
+fn git_revision() -> String {
+    if std::path::Path::new(".git").exists() {
+        command_line("git", &["rev-parse", "HEAD"])
+    } else {
+        "unknown".to_string()
+    }
+}
+
 /// Provenance lines: host, toolchain, revision, build profile, seed and
 /// workload parameters.
 pub fn provenance(opts: &Options, prepared: &Prepared) -> String {
@@ -172,7 +183,7 @@ pub fn provenance(opts: &Options, prepared: &Prepared) -> String {
         opts.seconds,
         u8::from(opts.trace),
         command_line("rustc", &["--version"]),
-        command_line("git", &["rev-parse", "HEAD"]),
+        git_revision(),
         opts.size.scale.0,
     );
     let _ = writeln!(
