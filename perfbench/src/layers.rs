@@ -3,7 +3,7 @@
 
 use mgc_core::GcStats;
 use mgc_numa::AccessClass;
-use mgc_runtime::{ChannelStats, RunReport};
+use mgc_runtime::RunReport;
 
 /// End-to-end metrics, printed with `--trace 0`: `(name, unit)`.
 pub const END_TO_END: &[(&str, &str)] = &[
@@ -14,8 +14,8 @@ pub const END_TO_END: &[(&str, &str)] = &[
 ];
 
 /// Per-layer metrics, printed with `--trace 1`: `(name, unit)`. A counter a
-/// workload does not exercise reads 0 (a batch program serves no requests;
-/// the threaded backend keeps no simulated traffic ledger or model curve).
+/// workload does not exercise reads 0 (the threaded backend keeps no
+/// simulated traffic ledger or model curve).
 pub const PER_LAYER: &[(&str, &str)] = &[
     // mgc-core
     ("core.minor.count", "count"),
@@ -63,16 +63,6 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("numa.model.speedup_48v.quicksort", "x"),
     ("numa.model.speedup_48v.barnes-hut", "x"),
     ("numa.model.speedup_48v.smvm", "x"),
-    // mgc-server
-    ("server.requests_due", "count"),
-    ("server.requests_served", "count"),
-    ("server.channel.sends", "count"),
-    ("server.channel.receives", "count"),
-    ("server.latency_mean_ms", "ms"),
-    ("server.latency_p50_ms", "ms"),
-    ("server.latency_p99_ms", "ms"),
-    ("server.slo_miss_share", "share"),
-    ("server.gc_pause_ms", "ms"),
     // mgc-workloads
     ("workloads.reference_ms", "ms"),
     // the benchmark itself
@@ -80,11 +70,6 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("bench.trace_overhead_share", "share"),
     ("bench.span_coverage_share", "share"),
 ];
-
-/// Latency at or above this many nanoseconds misses the service-level
-/// objective. It is a bucket edge of the log2 latency histogram, so the
-/// share of requests at or above it is exact.
-pub const SLO_NS: f64 = (1u64 << 20) as f64;
 
 /// Counters summed over a set of runs.
 #[derive(Debug, Clone, Default)]
@@ -127,19 +112,11 @@ pub struct LayerTotals {
     pub traffic: [u64; 3],
     /// Placement-policy switches of the adaptive controller.
     pub placement_switches: u64,
-    /// Channel messages sent.
-    pub sends: u64,
-    /// Channel messages received.
-    pub receives: u64,
-    /// Requests the open-loop generator scheduled.
-    pub requests_due: u64,
-    /// Request latencies, merged.
-    pub latency: mgc_runtime::LatencyStats,
 }
 
 impl LayerTotals {
     /// Folds one finished run into the totals.
-    pub fn add(&mut self, report: &RunReport, channels: &ChannelStats) {
+    pub fn add(&mut self, report: &RunReport) {
         self.runs += 1;
         self.vproc_ns += report.elapsed_ns * report.vprocs as f64;
         self.gc.merge(&report.gc);
@@ -160,9 +137,6 @@ impl LayerTotals {
             *slot += report.traffic.bytes_of(class);
         }
         self.placement_switches += report.placement_switches();
-        self.sends += channels.sends;
-        self.receives += channels.receives;
-        self.latency.merge(&report.latency_stats());
     }
 
     /// Mean words per allocated object (1 when nothing was allocated).
@@ -171,14 +145,6 @@ impl LayerTotals {
             return 1;
         }
         ((self.allocated_words as f64 / self.allocated_objects as f64).round() as usize).max(1)
-    }
-
-    /// Requests due but never served, plus served requests at or above
-    /// [`SLO_NS`].
-    pub fn slo_misses(&self) -> u64 {
-        let first_miss_bucket = SLO_NS.log2() as usize;
-        let slow: u64 = self.latency.buckets[first_miss_bucket..].iter().sum();
-        slow + self.requests_due.saturating_sub(self.latency.count)
     }
 
     /// The per-layer counters, as `(name, value)` pairs, each a mean per run
@@ -193,7 +159,6 @@ impl LayerTotals {
         let gc = &self.gc;
         let pause_ns = gc.total_pause_ns();
         let promoted = self.promoted_local_bytes + self.promoted_remote_bytes;
-        let served = self.latency.count;
         vec![
             ("core.minor.count", per_run(gc.minor_collections as f64)),
             ("core.major.count", per_run(gc.major_collections as f64)),
@@ -243,25 +208,6 @@ impl LayerTotals {
             (
                 "numa.placement_switches",
                 per_run(self.placement_switches as f64),
-            ),
-            ("server.requests_due", per_run(self.requests_due as f64)),
-            ("server.requests_served", per_run(served as f64)),
-            ("server.channel.sends", per_run(self.sends as f64)),
-            ("server.channel.receives", per_run(self.receives as f64)),
-            ("server.latency_mean_ms", self.latency.mean_ns() / 1e6),
-            ("server.latency_p50_ms", self.latency.percentile(50.0) / 1e6),
-            ("server.latency_p99_ms", self.latency.percentile(99.0) / 1e6),
-            (
-                "server.slo_miss_share",
-                share(self.slo_misses() as f64, self.requests_due as f64),
-            ),
-            (
-                "server.gc_pause_ms",
-                if self.requests_due > 0 {
-                    ms(pause_ns)
-                } else {
-                    0.0
-                },
             ),
         ]
     }

@@ -19,8 +19,9 @@ pub mod probes;
 pub mod run;
 pub mod trace;
 
-use layers::{END_TO_END, PER_LAYER, SLO_NS};
-use run::{BenchWorkload, Measured, Prepared, RunSize, SERVE_RPS, THREADED_VPROCS};
+use layers::{END_TO_END, PER_LAYER};
+use mgc_workloads::Scale;
+use run::{BenchWorkload, Measured, Prepared};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use trace::Tracer;
@@ -29,31 +30,21 @@ use trace::Tracer;
 /// traced run's wall time, as a share of the wall time.
 pub const SPAN_COVERAGE_TOLERANCE: f64 = 0.05;
 
-/// Extra set-up-only samples of the Figure 5 grid per run.
-const GRID_SETUP_SAMPLES: usize = 20;
-
 /// Parsed command line.
 #[derive(Debug, Clone, Copy)]
 pub struct Options {
     /// The workload to run.
     pub workload: BenchWorkload,
-    /// Seed of the generated inputs (only the serve generator takes one).
+    /// The `--seed` argument. It is recorded in the provenance but reaches
+    /// no input: the programs' inputs are fixed by `mgc-workloads`.
     pub seed: u64,
     /// Seconds to measure for.
     pub seconds: f64,
     /// Whether this is the traced run.
     pub trace: bool,
-    /// Input sizes.
-    pub size: RunSize,
-}
-
-/// The input sizes the benchmark runs at: the bench preset, with
-/// two-second serve streams.
-pub fn bench_size() -> RunSize {
-    RunSize {
-        scale: mgc_workloads::Scale::bench(),
-        serve_secs: 2,
-    }
+    /// Input scale of the programs: the bench preset (tiny in the
+    /// self-test).
+    pub scale: Scale,
 }
 
 /// Parses `--workload <name> --seed <n> --seconds <s> --trace <0|1>`.
@@ -101,7 +92,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
         seed,
         seconds,
         trace,
-        size: bench_size(),
+        scale: Scale::bench(),
     })
 }
 
@@ -165,8 +156,8 @@ fn git_revision() -> String {
 }
 
 /// Provenance lines: host, toolchain, revision, build profile, seed and
-/// workload parameters.
-pub fn provenance(opts: &Options, prepared: &Prepared) -> String {
+/// input scale.
+pub fn provenance(opts: &Options) -> String {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let profile = if cfg!(debug_assertions) {
         "debug"
@@ -184,23 +175,13 @@ pub fn provenance(opts: &Options, prepared: &Prepared) -> String {
         u8::from(opts.trace),
         command_line("rustc", &["--version"]),
         git_revision(),
-        opts.size.scale.0,
+        opts.scale.0,
     );
     let _ = writeln!(
         out,
-        "# inputs: the batch programs' inputs are fixed by mgc-workloads at this scale; \
-         --seed reaches only the serve generator (ServeParams.seed)"
+        "# inputs: the programs' inputs are fixed by mgc-workloads at this scale; \
+         --seed is recorded but reaches no input"
     );
-    if let Some(params) = prepared.serve() {
-        for (p, vprocs) in params.iter().zip(THREADED_VPROCS) {
-            let _ = writeln!(
-                out,
-                "# open loop: rate={SERVE_RPS} req/s duration={}s workers={} vprocs={vprocs} \
-                 generator_seed={}",
-                p.duration_secs, p.workers, p.seed
-            );
-        }
-    }
     out
 }
 
@@ -209,7 +190,7 @@ pub fn provenance(opts: &Options, prepared: &Prepared) -> String {
 pub struct Outcome {
     /// Whether every check passed.
     pub correct: bool,
-    /// Reps, requests or grid cells attempted.
+    /// Reps or grid cells attempted.
     pub attempted: u64,
     /// Of those, how many failed.
     pub failed: u64,
@@ -271,8 +252,8 @@ fn run_s(m: &Measured) -> f64 {
 /// then the JSON result line to `out`.
 pub fn bench(opts: &Options, out: &mut dyn Write) -> io::Result<Outcome> {
     let mut tracer = Tracer::new(opts.trace);
-    let prepared = Prepared::new(opts.workload, opts.size, opts.seed, &mut tracer);
-    let mut text = provenance(opts, &prepared);
+    let prepared = Prepared::new(opts.workload, opts.scale, &mut tracer);
+    let mut text = provenance(opts);
     let outcome = if opts.trace {
         traced(opts, &prepared, &mut tracer, &mut text)
     } else {
@@ -303,20 +284,17 @@ fn untraced(
 ) -> Result<Outcome, String> {
     let m = prepared.measure(opts.seconds, tracer);
     failure_lines(text, &m);
-    let mut setup = m.two.setup_s.clone();
-    if opts.workload == BenchWorkload::Figure5Model {
-        setup.extend(prepared.grid_setup_samples(GRID_SETUP_SAMPLES));
-    }
-    let _ = writeln!(
-        text,
-        "# samples: {} reps at 1 vproc, {} at 2 vprocs (figure5-model: 1-vproc columns, \
-         grids); {} set-up samples",
-        m.one.run_s.len(),
-        m.two.run_s.len(),
-        setup.len()
-    );
+    let _ = match opts.workload {
+        BenchWorkload::Figure5Model => writeln!(text, "# samples: {} grids", m.two.run_s.len()),
+        _ => writeln!(
+            text,
+            "# samples: {} reps at 1 vproc, {} at 2 vprocs",
+            m.one.run_s.len(),
+            m.two.run_s.len()
+        ),
+    };
     let values = [
-        ("setup_s", median(&setup)),
+        ("setup_s", median(&m.two.setup_s)),
         ("run_s", run_s(&m)),
         ("run_1v_s", median(&m.one.run_s)),
         ("peak_rss_mb", peak_rss_mb()),
@@ -373,15 +351,6 @@ fn traced(
         SPAN_COVERAGE_TOLERANCE,
         if covered { "ok" } else { "FAILED" }
     );
-    if m.totals.requests_due > 0 {
-        let _ = writeln!(
-            text,
-            "# server latency percentiles are log2 histogram bucket upper bounds (capped at \
-             the maximum), not exact order statistics; server.slo_miss_share is exact, since \
-             its limit {} ns is a bucket edge",
-            SLO_NS
-        );
-    }
 
     let attempted = plain.attempted + m.attempted;
     let failed = plain.failed + m.failed;

@@ -5,14 +5,14 @@
 //! `Program::spawn` and `Executor::run`. The time before `Executor::run` is
 //! the rep's set-up; the root result is checked against the program's
 //! expected checksum, computed once per workload outside every timed region.
+//!
+//! A request-serving workload (`mgc-server`'s `ServerProgram` under open-loop
+//! load) is deliberately not among them: see `README.md`.
 
 use crate::layers::LayerTotals;
 use crate::trace::Tracer;
 use mgc_numa::{AllocPolicy, Topology};
-use mgc_runtime::{
-    Backend, ChannelStats, Checksum, EnvOverrides, Executor, Experiment, Program, RunReport,
-};
-use mgc_server::{ServeParams, ServerProgram, SERVE_QUANTUM_NS};
+use mgc_runtime::{Backend, Checksum, EnvOverrides, Executor, Experiment, Program, RunReport};
 use mgc_workloads::{Scale, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -25,18 +25,15 @@ pub enum BenchWorkload {
     /// Barnes-Hut on the threaded backend: reads of shared global data and
     /// work stealing, almost no collection.
     BarneshutShared,
-    /// The request server under open-loop load on the threaded backend.
-    ServeOpenloop,
     /// The Figure 5 grid on the simulated backend and the NUMA cost model.
     Figure5Model,
 }
 
 impl BenchWorkload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [BenchWorkload; 4] = [
+    pub const ALL: [BenchWorkload; 3] = [
         BenchWorkload::QuicksortGc,
         BenchWorkload::BarneshutShared,
-        BenchWorkload::ServeOpenloop,
         BenchWorkload::Figure5Model,
     ];
 
@@ -45,7 +42,6 @@ impl BenchWorkload {
         match self {
             BenchWorkload::QuicksortGc => "quicksort-gc",
             BenchWorkload::BarneshutShared => "barneshut-shared",
-            BenchWorkload::ServeOpenloop => "serve-openloop",
             BenchWorkload::Figure5Model => "figure5-model",
         }
     }
@@ -63,19 +59,6 @@ pub const THREADED_VPROCS: [usize; 2] = [1, 2];
 /// Vproc counts of the Figure 5 grid (the paper's x axis).
 pub const FIGURE5_VPROCS: [usize; 7] = [1, 4, 8, 12, 24, 36, 48];
 
-/// The open-loop arrival rate of `serve-openloop`, requests per second.
-pub const SERVE_RPS: u64 = 2_000;
-
-/// How a run is sized.
-#[derive(Debug, Clone, Copy)]
-pub struct RunSize {
-    /// Input scale of the batch programs (the bench preset, or tiny for the
-    /// self-test).
-    pub scale: Scale,
-    /// Seconds of traffic per serve stream.
-    pub serve_secs: u64,
-}
-
 /// One configuration a rep runs: a program and where it runs.
 pub struct Cell<'a> {
     /// Builds the program (timed as part of set-up).
@@ -86,12 +69,8 @@ pub struct Cell<'a> {
     pub topology: Topology,
     /// Vproc count.
     pub vprocs: usize,
-    /// Simulated scheduling quantum, if not the default.
-    pub quantum_ns: Option<f64>,
     /// The checksum a correct run produces.
     pub expected: Option<Checksum>,
-    /// Requests the program is due to serve (0 for batch programs).
-    pub due: u64,
 }
 
 /// What one rep produced.
@@ -101,8 +80,8 @@ pub struct Rep {
     pub setup_s: f64,
     /// Seconds spent in `Executor::run`.
     pub run_s: f64,
-    /// The run report and channel statistics, if the run completed.
-    pub report: Option<(RunReport, ChannelStats)>,
+    /// The run report, if the run completed.
+    pub report: Option<RunReport>,
     /// Whether the root result matched the expected checksum.
     pub ok: bool,
     /// Why the rep failed, if it did.
@@ -135,15 +114,12 @@ pub fn run_rep(cell: &Cell<'_>, tracer: &mut Tracer) -> Rep {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let start = Instant::now();
         let program = tracer.span("mgc-workloads::Program::new", || (cell.make)());
-        let mut experiment = Experiment::new(Borrowed(&*program))
+        let experiment = Experiment::new(Borrowed(&*program))
             .backend(cell.backend)
             .topology(cell.topology.clone())
             .vprocs(cell.vprocs)
             .policy(AllocPolicy::Local)
             .env_overrides(EnvOverrides::default());
-        if let Some(quantum_ns) = cell.quantum_ns {
-            experiment = experiment.quantum_ns(quantum_ns);
-        }
         let config = tracer
             .span("mgc-runtime::Experiment::validate", || {
                 experiment.validate()
@@ -159,19 +135,17 @@ pub fn run_rep(cell: &Cell<'_>, tracer: &mut Tracer) -> Rep {
         let start = Instant::now();
         let report = tracer.span("mgc-runtime::Executor::run", || executor.run());
         run_s = start.elapsed().as_secs_f64();
-        let result = executor.take_result();
-        let channels = executor.channel_stats();
-        let ok = match (cell.expected, result) {
+        let ok = match (cell.expected, executor.take_result()) {
             (Some(expected), Some((word, false))) => expected.matches(word),
             _ => false,
         };
-        Ok::<_, String>((report, channels, ok))
+        Ok::<_, String>((report, ok))
     }));
     tracer.end(rep_span);
     let (report, ok, error) = match outcome {
-        Ok(Ok((report, channels, ok))) => {
+        Ok(Ok((report, ok))) => {
             let error = (!ok).then(|| "root result does not match the checksum".to_string());
-            (Some((report, channels)), ok, error)
+            (Some(report), ok, error)
         }
         Ok(Err(err)) => (None, false, Some(err)),
         Err(_) => (None, false, Some("the run panicked".to_string())),
@@ -197,13 +171,13 @@ pub struct Series {
 /// Everything one measurement produced.
 #[derive(Debug, Clone, Default)]
 pub struct Measured {
-    /// Reps at one vproc (or the 1-vproc column of the Figure 5 grid).
+    /// Reps at one vproc (or the 1-vproc column of each Figure 5 grid).
     pub one: Series,
     /// Reps at two vprocs (or whole Figure 5 grids).
     pub two: Series,
     /// Counters of the reps behind `two`.
     pub totals: LayerTotals,
-    /// Reps (batch), requests due (serve) or grid cells (model) attempted.
+    /// Reps (threaded) or grid cells (model) attempted.
     pub attempted: u64,
     /// Of those, how many failed.
     pub failed: u64,
@@ -215,21 +189,8 @@ pub struct Measured {
 
 impl Measured {
     fn count(&mut self, cell: &Cell<'_>, rep: &Rep) {
-        let served = rep
-            .report
-            .as_ref()
-            .map_or(0, |(report, _)| report.requests_served());
-        if cell.due == 0 {
-            self.attempted += 1;
-            self.failed += u64::from(!rep.ok);
-        } else {
-            self.attempted += cell.due;
-            self.failed += if rep.ok {
-                cell.due.saturating_sub(served)
-            } else {
-                cell.due
-            };
-        }
+        self.attempted += 1;
+        self.failed += u64::from(!rep.ok);
         if let Some(error) = &rep.error {
             if self.errors.len() < 4 {
                 self.errors.push(format!("{} vprocs: {error}", cell.vprocs));
@@ -243,21 +204,8 @@ pub struct Prepared {
     workload: BenchWorkload,
     programs: Vec<(&'static str, MakeProgram)>,
     expected: Vec<Option<Checksum>>,
-    serve: Option<[ServeParams; 2]>,
     /// Seconds spent computing the expected checksums.
     pub reference_s: f64,
-}
-
-/// The serve parameters at `vprocs` workers: the bench preset at
-/// [`SERVE_RPS`] for `secs` seconds, with the generator seeded by `seed`.
-pub fn serve_params(vprocs: usize, secs: u64, seed: u64) -> ServeParams {
-    ServeParams {
-        workers: vprocs,
-        rps: SERVE_RPS,
-        duration_secs: secs,
-        seed: mgc_server::mix64(seed),
-        ..ServeParams::bench()
-    }
 }
 
 /// The short lower-case name of a Figure 5 program, as used in metric
@@ -277,9 +225,7 @@ impl Prepared {
     /// Builds the workload's program factories and computes every expected
     /// checksum (recorded as `mgc-workloads::Program::expected_checksum`
     /// spans), outside any timed region.
-    pub fn new(workload: BenchWorkload, size: RunSize, seed: u64, tracer: &mut Tracer) -> Self {
-        let scale = size.scale;
-        let mut serve = None;
+    pub fn new(workload: BenchWorkload, scale: Scale, tracer: &mut Tracer) -> Self {
         let programs: Vec<(&'static str, MakeProgram)> = match workload {
             BenchWorkload::QuicksortGc => {
                 vec![(
@@ -292,19 +238,6 @@ impl Prepared {
                     "barnes-hut",
                     Box::new(move || Workload::BarnesHut.program(scale)),
                 )]
-            }
-            BenchWorkload::ServeOpenloop => {
-                let params = THREADED_VPROCS.map(|v| serve_params(v, size.serve_secs, seed));
-                serve = Some(params);
-                params
-                    .into_iter()
-                    .map(|p| {
-                        let make: MakeProgram = Box::new(move || {
-                            Box::new(ServerProgram::new(p).expect("the serve parameters are valid"))
-                        });
-                        ("server", make)
-                    })
-                    .collect()
             }
             BenchWorkload::Figure5Model => Workload::FIGURES
                 .into_iter()
@@ -328,7 +261,6 @@ impl Prepared {
             workload,
             programs,
             expected,
-            serve,
             reference_s: start.elapsed().as_secs_f64(),
         }
     }
@@ -340,17 +272,14 @@ impl Prepared {
         self
     }
 
-    /// The threaded cell at `vprocs` vprocs for program `index`.
-    fn threaded_cell(&self, index: usize, vprocs: usize) -> Cell<'_> {
-        let due = self.serve.map_or(0, |p| p[index].total_requests());
+    /// The threaded cell at `vprocs` vprocs.
+    fn threaded_cell(&self, vprocs: usize) -> Cell<'_> {
         Cell {
-            make: &*self.programs[index].1,
+            make: &*self.programs[0].1,
             backend: Backend::Threaded,
             topology: Topology::dual_node_test(),
             vprocs,
-            quantum_ns: self.serve.map(|_| SERVE_QUANTUM_NS),
-            expected: self.expected[index],
-            due,
+            expected: self.expected[0],
         }
     }
 
@@ -370,10 +299,7 @@ impl Prepared {
         loop {
             let pair_start = Instant::now();
             for (i, &vprocs) in THREADED_VPROCS.iter().enumerate() {
-                // Serve has one program per vproc count (its worker count);
-                // the batch workloads run the same program at both.
-                let index = if self.serve.is_some() { i } else { 0 };
-                let cell = self.threaded_cell(index, vprocs);
+                let cell = self.threaded_cell(vprocs);
                 let rep = run_rep(&cell, tracer);
                 m.count(&cell, &rep);
                 let series = if i == 0 { &mut m.one } else { &mut m.two };
@@ -381,11 +307,8 @@ impl Prepared {
                     series.setup_s.push(rep.setup_s);
                     series.run_s.push(rep.run_s);
                 }
-                if i == 1 {
-                    m.totals.requests_due += cell.due;
-                    if let Some((report, channels)) = &rep.report {
-                        m.totals.add(report, channels);
-                    }
+                if let (1, Some(report)) = (i, &rep.report) {
+                    m.totals.add(report);
                 }
             }
             let pair_s = pair_start.elapsed().as_secs_f64();
@@ -402,22 +325,18 @@ impl Prepared {
             backend: Backend::Simulated,
             topology: Topology::amd_magny_cours_48(),
             vprocs,
-            quantum_ns: None,
             expected: self.expected[index],
-            due: 0,
         }
     }
 
-    /// Runs the cells at `vprocs` of every Figure 5 program once and returns
-    /// the summed `(set-up, run, 1-vproc run)` seconds. A full grid also
-    /// adds its counters to the totals; the first full grid gives the
-    /// modelled 48-vproc speedups.
-    fn grid_pass(&self, vprocs: &[usize], m: &mut Measured, tracer: &mut Tracer) -> [f64; 3] {
-        let full = vprocs == FIGURE5_VPROCS;
+    /// Runs every cell of the Figure 5 grid once and returns the summed
+    /// `(set-up, run, 1-vproc run)` seconds. The grid's counters go to the
+    /// totals; the first grid gives the modelled 48-vproc speedups.
+    fn grid_pass(&self, m: &mut Measured, tracer: &mut Tracer) -> [f64; 3] {
         let mut sums = [0.0; 3];
         for (index, (name, _)) in self.programs.iter().enumerate() {
             let mut elapsed = [0.0; 2];
-            for &v in vprocs {
+            for v in FIGURE5_VPROCS {
                 let cell = self.grid_cell(index, v);
                 let rep = run_rep(&cell, tracer);
                 m.count(&cell, &rep);
@@ -426,8 +345,8 @@ impl Prepared {
                 if v == 1 {
                     sums[2] += rep.run_s;
                 }
-                if let (Some((report, channels)), true) = (&rep.report, full) {
-                    m.totals.add(report, channels);
+                if let Some(report) = &rep.report {
+                    m.totals.add(report);
                     match v {
                         1 => elapsed[0] = report.elapsed_ns,
                         48 => elapsed[1] = report.elapsed_ns,
@@ -435,7 +354,7 @@ impl Prepared {
                     }
                 }
             }
-            if full && m.speedups.len() < self.programs.len() {
+            if m.speedups.len() < self.programs.len() {
                 let speedup = if elapsed[1] > 0.0 {
                     elapsed[0] / elapsed[1]
                 } else {
@@ -448,16 +367,13 @@ impl Prepared {
     }
 
     /// Whole Figure 5 grids while the next one is expected to end within
-    /// `seconds` (at least one always runs), then the grid's 1-vproc column
-    /// again while it fits: the column is a small share of the grid, so the
-    /// grids alone give too few seconds of it for a steady median.
+    /// `seconds` (at least one always runs). Each grid gives one sample of
+    /// set-up, run and 1-vproc run time.
     fn measure_grid(&self, seconds: f64, tracer: &mut Tracer) -> Measured {
         let mut m = Measured::default();
         let start = Instant::now();
-        let mut grids = 0;
         loop {
-            let [setup, run, run_one] = self.grid_pass(&FIGURE5_VPROCS, &mut m, tracer);
-            grids += 1;
+            let [setup, run, run_one] = self.grid_pass(&mut m, tracer);
             m.one.run_s.push(run_one);
             m.two.setup_s.push(setup);
             m.two.run_s.push(run);
@@ -466,47 +382,7 @@ impl Prepared {
             }
         }
         // Grid counters are reported per grid, not per cell.
-        m.totals.runs = grids;
-        while start.elapsed().as_secs_f64() + m.one.run_s[m.one.run_s.len() - 1] <= seconds {
-            let [_, _, run_one] = self.grid_pass(&[1], &mut m, tracer);
-            m.one.run_s.push(run_one);
-        }
+        m.totals.runs = m.two.run_s.len() as u64;
         m
-    }
-
-    /// Extra set-up samples for the Figure 5 grid, whose timed passes are
-    /// too few to give a steady median: each sample is the summed set-up
-    /// time of every cell of the grid, built, validated and spawned but not
-    /// run.
-    pub fn grid_setup_samples(&self, samples: usize) -> Vec<f64> {
-        (0..samples)
-            .map(|_| {
-                let mut setup_s = 0.0;
-                for (_, make) in &self.programs {
-                    for vprocs in FIGURE5_VPROCS {
-                        let start = Instant::now();
-                        let program = make();
-                        let config = Experiment::new(Borrowed(&*program))
-                            .backend(Backend::Simulated)
-                            .topology(Topology::amd_magny_cours_48())
-                            .vprocs(vprocs)
-                            .policy(AllocPolicy::Local)
-                            .env_overrides(EnvOverrides::default())
-                            .validate()
-                            .expect("the Figure 5 grid fits the 48-core model");
-                        let mut executor = config.build_executor();
-                        program.spawn(&mut *executor);
-                        setup_s += start.elapsed().as_secs_f64();
-                    }
-                }
-                setup_s
-            })
-            .collect()
-    }
-
-    /// The serve parameters at each vproc count, if this is the serve
-    /// workload.
-    pub fn serve(&self) -> Option<[ServeParams; 2]> {
-        self.serve
     }
 }

@@ -6,7 +6,7 @@
 
 use mgc_heap::i64_to_word;
 use mgc_perfbench::layers::{END_TO_END, PER_LAYER};
-use mgc_perfbench::run::{BenchWorkload, Prepared, RunSize};
+use mgc_perfbench::run::{BenchWorkload, Prepared};
 use mgc_perfbench::trace::Tracer;
 use mgc_perfbench::{bench, Options};
 use mgc_runtime::{Executor, Program, TaskResult, TaskSpec};
@@ -18,10 +18,7 @@ fn tiny(workload: BenchWorkload, trace: bool) -> Options {
         seed: 7,
         seconds: 0.01,
         trace,
-        size: RunSize {
-            scale: Scale::tiny(),
-            serve_secs: 1,
-        },
+        scale: Scale::tiny(),
     }
 }
 
@@ -76,12 +73,6 @@ fn barneshut_shared_prints_every_metric() {
 }
 
 #[test]
-fn serve_openloop_prints_every_metric() {
-    check_pass(BenchWorkload::ServeOpenloop, false);
-    check_pass(BenchWorkload::ServeOpenloop, true);
-}
-
-#[test]
 fn figure5_model_prints_every_metric() {
     check_pass(BenchWorkload::Figure5Model, false);
     check_pass(BenchWorkload::Figure5Model, true);
@@ -117,18 +108,17 @@ impl Program for Panics {
 fn wrong_results_and_panics_count_as_failures() {
     let opts = tiny(BenchWorkload::QuicksortGc, false);
     let mut tracer = Tracer::new(false);
-    let wrong = Prepared::new(opts.workload, opts.size, opts.seed, &mut tracer).with_program(
-        Box::new(|| {
+    let wrong =
+        Prepared::new(opts.workload, opts.scale, &mut tracer).with_program(Box::new(|| {
             let inner = Workload::Quicksort.program(Scale::tiny());
             Box::new(WrongResult(inner)) as Box<dyn Program>
-        }),
-    );
+        }));
     let m = wrong.measure(0.01, &mut tracer);
     assert!(m.attempted >= 2);
     assert_eq!(m.failed, m.attempted, "every wrong result is a failure");
     assert!(m.errors[0].contains("does not match"), "{:?}", m.errors);
 
-    let panics = Prepared::new(opts.workload, opts.size, opts.seed, &mut tracer)
+    let panics = Prepared::new(opts.workload, opts.scale, &mut tracer)
         .with_program(Box::new(|| Box::new(Panics) as Box<dyn Program>));
     let m = panics.measure(0.01, &mut tracer);
     assert_eq!(m.failed, m.attempted, "every panic is a failure");
