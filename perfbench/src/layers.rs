@@ -8,8 +8,8 @@ use mgc_runtime::RunReport;
 /// End-to-end metrics, printed with `--trace 0`: `(name, unit)`.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("run_s", "s"),
-    ("run_1v_s", "s"),
+    ("run_cpu_s", "s"),
+    ("run_1v_cpu_s", "s"),
     ("peak_rss_mb", "MB"),
 ];
 
@@ -69,6 +69,9 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("bench.failed_share", "share"),
     ("bench.trace_overhead_share", "share"),
     ("bench.span_coverage_share", "share"),
+    ("bench.run_wall_s", "s"),
+    ("bench.run_1v_wall_s", "s"),
+    ("bench.host_steal_share", "share"),
 ];
 
 /// Counters summed over a set of runs.

@@ -17,6 +17,7 @@
 pub mod layers;
 pub mod probes;
 pub mod run;
+pub mod spread;
 pub mod trace;
 
 use layers::{END_TO_END, PER_LAYER};
@@ -29,6 +30,10 @@ use trace::Tracer;
 /// The largest gap allowed between the summed span self times and the
 /// traced run's wall time, as a share of the wall time.
 pub const SPAN_COVERAGE_TOLERANCE: f64 = 0.05;
+
+/// The longest the threaded workloads spend getting both cores into use
+/// before their first rep (see [`spread`]).
+pub const SPREAD_MAX_S: f64 = 5.0;
 
 /// Parsed command line.
 #[derive(Debug, Clone, Copy)]
@@ -242,10 +247,46 @@ fn failure_lines(out: &mut String, m: &Measured) {
     }
 }
 
-/// The `run_s` of a measurement: the median 2-vproc rep, or the median
-/// Figure 5 grid.
-fn run_s(m: &Measured) -> f64 {
-    median(&m.two.run_s)
+/// The mean of `values` (0 for none).
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// The `run_cpu_s` of a measurement: the mean CPU seconds of a 2-vproc rep,
+/// or of a Figure 5 grid. A mean, not a median, because the clock counts
+/// whole ticks of 1/100 s.
+fn run_cpu_s(m: &Measured) -> f64 {
+    mean(&m.two.run_cpu_s)
+}
+
+/// Steal and total ticks of all CPUs from the first line of `/proc/stat`.
+fn host_cpu_ticks() -> Option<(f64, f64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<f64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    // user nice system idle iowait irq softirq steal guest guest_nice; the
+    // guest columns are already counted in user and nice.
+    Some((*ticks.get(7)?, ticks.iter().take(8).sum()))
+}
+
+/// Share of the host's CPU time that the hypervisor took away (steal) while
+/// `measure` ran, with its result. 0 where the kernel does not report it.
+fn with_steal_share<T>(measure: impl FnOnce() -> T) -> (T, f64) {
+    let before = host_cpu_ticks();
+    let out = measure();
+    let share = match (before, host_cpu_ticks()) {
+        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => (s1 - s0) / (t1 - t0),
+        _ => 0.0,
+    };
+    (out, share)
 }
 
 /// Runs the benchmark as `opts` says, writing the human-readable report and
@@ -254,6 +295,16 @@ pub fn bench(opts: &Options, out: &mut dyn Write) -> io::Result<Outcome> {
     let mut tracer = Tracer::new(opts.trace);
     let prepared = Prepared::new(opts.workload, opts.scale, &mut tracer);
     let mut text = provenance(opts);
+    if opts.workload != BenchWorkload::Figure5Model {
+        let threads = run::THREADED_VPROCS.iter().copied().max().unwrap_or(1);
+        let s = spread::spread_threads(threads, SPREAD_MAX_S);
+        let _ = writeln!(
+            text,
+            "# warm-up: {threads} spinning threads for {:.3} s over {} rounds; last round took \
+             {:.3}x the time of its work on one thread; in parallel: {}",
+            s.seconds, s.rounds, s.ratio, s.parallel
+        );
+    }
     let outcome = if opts.trace {
         traced(opts, &prepared, &mut tracer, &mut text)
     } else {
@@ -282,8 +333,15 @@ fn untraced(
     tracer: &mut Tracer,
     text: &mut String,
 ) -> Result<Outcome, String> {
-    let m = prepared.measure(opts.seconds, tracer);
+    let (m, steal) = with_steal_share(|| prepared.measure(opts.seconds, tracer));
     failure_lines(text, &m);
+    let _ = writeln!(
+        text,
+        "# wall time of Executor::run, medians: {:.6} s (2 vprocs or grid), {:.6} s (1 vproc); \
+         host steal while measuring: {steal:.4} of CPU time",
+        median(&m.two.run_s),
+        median(&m.one.run_s)
+    );
     let _ = match opts.workload {
         BenchWorkload::Figure5Model => writeln!(text, "# samples: {} grids", m.two.run_s.len()),
         _ => writeln!(
@@ -295,8 +353,8 @@ fn untraced(
     };
     let values = [
         ("setup_s", median(&m.two.setup_s)),
-        ("run_s", run_s(&m)),
-        ("run_1v_s", median(&m.one.run_s)),
+        ("run_cpu_s", run_cpu_s(&m)),
+        ("run_1v_cpu_s", mean(&m.one.run_cpu_s)),
         ("peak_rss_mb", peak_rss_mb()),
     ];
     let metrics = in_registry_order(END_TO_END, &values)?;
@@ -317,7 +375,7 @@ fn traced(
 ) -> Result<Outcome, String> {
     let half = opts.seconds / 2.0;
     tracer.set_enabled(false);
-    let plain = prepared.measure(half, tracer);
+    let (plain, steal) = with_steal_share(|| prepared.measure(half, tracer));
     tracer.set_enabled(true);
     let window_start = tracer.now_s();
     let m = prepared.measure(half, tracer);
@@ -375,8 +433,11 @@ fn traced(
         ),
         (
             "bench.trace_overhead_share",
-            run_s(&m) / run_s(&plain) - 1.0,
+            run_cpu_s(&m) / run_cpu_s(&plain) - 1.0,
         ),
+        ("bench.run_wall_s", median(&plain.two.run_s)),
+        ("bench.run_1v_wall_s", median(&plain.one.run_s)),
+        ("bench.host_steal_share", steal),
         ("bench.span_coverage_share", coverage),
     ]);
     let metrics = in_registry_order(PER_LAYER, &values)?;

@@ -53,7 +53,7 @@ impl BenchWorkload {
 }
 
 /// Vproc counts of the threaded workloads, alternated rep by rep. The
-/// second is the count `run_s` reports; the first is `run_1v_s`.
+/// second is the count `run_cpu_s` reports; the first is `run_1v_cpu_s`.
 pub const THREADED_VPROCS: [usize; 2] = [1, 2];
 
 /// Vproc counts of the Figure 5 grid (the paper's x axis).
@@ -80,12 +80,43 @@ pub struct Rep {
     pub setup_s: f64,
     /// Seconds spent in `Executor::run`.
     pub run_s: f64,
+    /// CPU seconds the process used during `Executor::run`.
+    pub run_cpu_s: f64,
     /// The run report, if the run completed.
     pub report: Option<RunReport>,
     /// Whether the root result matched the expected checksum.
     pub ok: bool,
     /// Why the rep failed, if it did.
     pub error: Option<String>,
+}
+
+impl Rep {
+    /// `[set-up, run, run CPU]` seconds.
+    pub fn sample(&self) -> [f64; 3] {
+        [self.setup_s, self.run_s, self.run_cpu_s]
+    }
+}
+
+/// CPU seconds this process has used so far, all its threads together:
+/// user plus system time from `/proc/self/stat`, in the kernel's clock
+/// ticks of 1/100 s. Time the host hypervisor takes a vCPU away (steal) is
+/// not counted. 0 where the kernel does not report it.
+pub fn process_cpu_s() -> f64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0.0;
+    };
+    // The command name may hold spaces; the fields after it do not.
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .map_or("", |(_, rest)| rest)
+        .split_whitespace()
+        .collect();
+    // utime and stime are fields 14 and 15; the list starts at field 3.
+    let ticks = |i: usize| fields.get(i).and_then(|f| f.parse::<f64>().ok());
+    match (ticks(11), ticks(12)) {
+        (Some(user), Some(system)) => (user + system) / 100.0,
+        _ => 0.0,
+    }
 }
 
 /// Builds a fresh program for each rep.
@@ -111,6 +142,7 @@ pub fn run_rep(cell: &Cell<'_>, tracer: &mut Tracer) -> Rep {
     let rep_span = tracer.begin("bench::rep");
     let mut setup_s = 0.0;
     let mut run_s = 0.0;
+    let mut run_cpu_s = 0.0;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let start = Instant::now();
         let program = tracer.span("mgc-workloads::Program::new", || (cell.make)());
@@ -132,9 +164,11 @@ pub fn run_rep(cell: &Cell<'_>, tracer: &mut Tracer) -> Rep {
             program.spawn(&mut *executor)
         });
         setup_s = start.elapsed().as_secs_f64();
+        let cpu_start = process_cpu_s();
         let start = Instant::now();
         let report = tracer.span("mgc-runtime::Executor::run", || executor.run());
         run_s = start.elapsed().as_secs_f64();
+        run_cpu_s = process_cpu_s() - cpu_start;
         let ok = match (cell.expected, executor.take_result()) {
             (Some(expected), Some((word, false))) => expected.matches(word),
             _ => false,
@@ -153,19 +187,31 @@ pub fn run_rep(cell: &Cell<'_>, tracer: &mut Tracer) -> Rep {
     Rep {
         setup_s,
         run_s,
+        run_cpu_s,
         report,
         ok,
         error,
     }
 }
 
-/// Set-up and run times of the reps at one vproc count.
+/// Set-up, run and run CPU times of the reps at one vproc count.
 #[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Set-up seconds, one per rep.
     pub setup_s: Vec<f64>,
     /// `Executor::run` seconds, one per rep.
     pub run_s: Vec<f64>,
+    /// CPU seconds used during `Executor::run`, one per rep.
+    pub run_cpu_s: Vec<f64>,
+}
+
+impl Series {
+    /// Adds one sample: `[set-up, run, run CPU]` seconds.
+    fn push(&mut self, [setup_s, run_s, run_cpu_s]: [f64; 3]) {
+        self.setup_s.push(setup_s);
+        self.run_s.push(run_s);
+        self.run_cpu_s.push(run_cpu_s);
+    }
 }
 
 /// Everything one measurement produced.
@@ -304,8 +350,7 @@ impl Prepared {
                 m.count(&cell, &rep);
                 let series = if i == 0 { &mut m.one } else { &mut m.two };
                 if rep.ok {
-                    series.setup_s.push(rep.setup_s);
-                    series.run_s.push(rep.run_s);
+                    series.push(rep.sample());
                 }
                 if let (1, Some(report)) = (i, &rep.report) {
                     m.totals.add(report);
@@ -330,20 +375,26 @@ impl Prepared {
     }
 
     /// Runs every cell of the Figure 5 grid once and returns the summed
-    /// `(set-up, run, 1-vproc run)` seconds. The grid's counters go to the
-    /// totals; the first grid gives the modelled 48-vproc speedups.
-    fn grid_pass(&self, m: &mut Measured, tracer: &mut Tracer) -> [f64; 3] {
-        let mut sums = [0.0; 3];
+    /// samples (see [`Rep::sample`]) of the whole grid and of its 1-vproc
+    /// column. The grid's counters go to the totals; the first grid gives
+    /// the modelled 48-vproc speedups.
+    fn grid_pass(&self, m: &mut Measured, tracer: &mut Tracer) -> [[f64; 3]; 2] {
+        let mut grid = [0.0; 3];
+        let mut column = [0.0; 3];
+        let add = |sum: &mut [f64; 3], rep: &Rep| {
+            for (total, value) in sum.iter_mut().zip(rep.sample()) {
+                *total += value;
+            }
+        };
         for (index, (name, _)) in self.programs.iter().enumerate() {
             let mut elapsed = [0.0; 2];
             for v in FIGURE5_VPROCS {
                 let cell = self.grid_cell(index, v);
                 let rep = run_rep(&cell, tracer);
                 m.count(&cell, &rep);
-                sums[0] += rep.setup_s;
-                sums[1] += rep.run_s;
+                add(&mut grid, &rep);
                 if v == 1 {
-                    sums[2] += rep.run_s;
+                    add(&mut column, &rep);
                 }
                 if let Some(report) = &rep.report {
                     m.totals.add(report);
@@ -363,7 +414,7 @@ impl Prepared {
                 m.speedups.push((name, speedup));
             }
         }
-        sums
+        [grid, column]
     }
 
     /// Whole Figure 5 grids while the next one is expected to end within
@@ -373,11 +424,10 @@ impl Prepared {
         let mut m = Measured::default();
         let start = Instant::now();
         loop {
-            let [setup, run, run_one] = self.grid_pass(&mut m, tracer);
-            m.one.run_s.push(run_one);
-            m.two.setup_s.push(setup);
-            m.two.run_s.push(run);
-            if start.elapsed().as_secs_f64() + setup + run > seconds {
+            let [grid, column] = self.grid_pass(&mut m, tracer);
+            m.two.push(grid);
+            m.one.push(column);
+            if start.elapsed().as_secs_f64() + grid[0] + grid[1] > seconds {
                 break;
             }
         }

@@ -1,12 +1,14 @@
 //! Self-test of the benchmark harness: a short pass of every workload at
 //! tiny scale prints every named metric with its unit, a program that
 //! returns a wrong result or panics is counted as failed rather than
-//! aborting the run, and `BENCHMARK.json` names exactly the workloads and
-//! metrics the harness prints.
+//! aborting the run, the CPU clock and the warm-up behave, and
+//! `BENCHMARK.json` names exactly the workloads and metrics the harness
+//! prints.
 
 use mgc_heap::i64_to_word;
 use mgc_perfbench::layers::{END_TO_END, PER_LAYER};
-use mgc_perfbench::run::{BenchWorkload, Prepared};
+use mgc_perfbench::run::{process_cpu_s, BenchWorkload, Prepared};
+use mgc_perfbench::spread::spread_threads;
 use mgc_perfbench::trace::Tracer;
 use mgc_perfbench::{bench, Options};
 use mgc_runtime::{Executor, Program, TaskResult, TaskSpec};
@@ -16,7 +18,7 @@ fn tiny(workload: BenchWorkload, trace: bool) -> Options {
     Options {
         workload,
         seed: 7,
-        seconds: 0.01,
+        seconds: 0.2,
         trace,
         scale: Scale::tiny(),
     }
@@ -123,6 +125,33 @@ fn wrong_results_and_panics_count_as_failures() {
     let m = panics.measure(0.01, &mut tracer);
     assert_eq!(m.failed, m.attempted, "every panic is a failure");
     assert!(m.errors[0].contains("panicked"), "{:?}", m.errors);
+}
+
+#[test]
+fn the_cpu_clock_counts_every_thread() {
+    let before = process_cpu_s();
+    let spin = || {
+        let start = std::time::Instant::now();
+        while start.elapsed().as_millis() < 100 {
+            std::hint::spin_loop();
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(spin);
+        s.spawn(spin);
+    });
+    let used = process_cpu_s() - before;
+    // At least one core was busy for 100 ms, less a tick of rounding.
+    assert!(used >= 0.08, "two spinning threads used {used} CPU seconds");
+}
+
+#[test]
+fn the_warm_up_ends() {
+    let one = spread_threads(1, 5.0);
+    assert!(one.parallel && one.rounds == 0, "{one:?}");
+    let two = spread_threads(2, 0.2);
+    assert!(two.rounds >= 1, "{two:?}");
+    assert!(two.seconds < 2.0, "{two:?}");
 }
 
 #[test]
