@@ -1,188 +1,98 @@
-//! The CI perf gate: compares a fresh sweep against the checked-in
-//! baseline and exits non-zero on a regression.
+//! The CI perf gate: compares a results store's current sweep against its
+//! seed batches, and its pins, and exits non-zero on a regression.
 //!
 //! ```text
-//! perfdiff --baseline results/baseline/BENCH_threaded.json \
-//!          --current  results/store \
-//!          [--speedup-thresholds results/baseline/speedup-thresholds.json] \
-//!          [--pause-thresholds results/baseline/pause-thresholds.json] \
-//!          [--latency-thresholds results/baseline/latency-thresholds.json] \
-//!          [--max-wall-ratio 2.5] [--max-promoted-ratio 1.5] \
-//!          [--min-wall-ms 5] [--min-promoted-kb 64]
+//! perfdiff --store results/store --baseline 1,2 [--pins results/baseline/pins.json]
 //! ```
 //!
-//! `--baseline` and `--current` each accept either a **results store
-//! directory** (read as the latest record per run-point key through the
-//! `mgc-store` query API) or a **legacy flat `RunRecord` JSON file**
-//! (accepted for one PR cycle via the store's ingest shim).
-//!
-//! With `--speedup-thresholds`, the per-program parallel-speedup gate also
-//! runs: for every pinned program, the current sweep's 1-vproc wall-clock
-//! divided by its highest-vproc wall-clock must not fall below the pin.
-//! (Speedup uses the current sweep only; it is not a baseline comparison,
-//! so a baseline recorded on a small machine cannot mask a scaling loss.)
-//!
-//! With `--pause-thresholds`, the max-pause gate also runs: every threaded
-//! point of a pinned program must keep its largest recorded mutator pause
-//! under the absolute per-program ceiling (milliseconds). Points without
-//! pause telemetry fail a pin loudly rather than passing silently.
-//!
-//! With `--latency-thresholds`, the request-latency gate also runs: every
-//! threaded point of a pinned serving program must keep its p99 end-to-end
-//! request latency under the absolute per-program ceiling (milliseconds).
-//! Same discipline as the pause gate — current sweep only, and missing
-//! telemetry on a pinned program fails loudly.
-//!
-//! The Markdown comparison table goes to stdout (the CI job tees it into
-//! `$GITHUB_STEP_SUMMARY`); the exit code is the gate.
+//! `--baseline` lists the sequence numbers of the baseline batches; the
+//! current sweep is the latest record per run-point key over the whole
+//! store. The gates are described in [`mgc_bench::perfdiff`]. The Markdown
+//! tables go to stdout (the CI job tees them into `$GITHUB_STEP_SUMMARY`);
+//! the exit code is the gate: 0 when every check passes, 1 on a
+//! regression, 2 when the inputs cannot be read.
+
+use std::process::ExitCode;
 
 use mgc_bench::perfdiff::{
-    compare, latency_markdown, latency_rows, load_points, markdown,
-    missing_latency_pinned_programs, missing_pause_pinned_programs, missing_pinned_programs,
-    parse_latency_thresholds, parse_pause_thresholds, parse_speedup_thresholds, pause_markdown,
-    pause_rows, speedup_markdown, speedup_rows, Thresholds,
+    baseline_records, compare, current_records, markdown, missing_pins, parse_pins, pin_rows,
+    pins_markdown,
 };
+use mgc_store::Store;
 
-fn parse_f64(value: Option<&String>, flag: &str) -> f64 {
-    value
-        .unwrap_or_else(|| panic!("{flag} requires a positive number"))
-        .parse::<f64>()
-        .ok()
-        .filter(|v| *v > 0.0)
-        .unwrap_or_else(|| panic!("{flag} requires a positive number"))
-}
+const USAGE: &str = "perfdiff --store <dir> --baseline <seq,...> [--pins <file>]";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = None;
-    let mut current_path = None;
-    let mut speedup_path = None;
-    let mut pause_path = None;
-    let mut latency_path = None;
-    let mut thresholds = Thresholds::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--baseline" => baseline_path = iter.next().cloned(),
-            "--current" => current_path = iter.next().cloned(),
-            "--speedup-thresholds" => speedup_path = iter.next().cloned(),
-            "--pause-thresholds" => pause_path = iter.next().cloned(),
-            "--latency-thresholds" => latency_path = iter.next().cloned(),
-            "--max-wall-ratio" => {
-                thresholds.max_wall_ratio = parse_f64(iter.next(), "--max-wall-ratio");
-            }
-            "--max-promoted-ratio" => {
-                thresholds.max_promoted_ratio = parse_f64(iter.next(), "--max-promoted-ratio");
-            }
-            "--min-wall-ms" => {
-                thresholds.min_wall_ns = parse_f64(iter.next(), "--min-wall-ms") * 1e6;
-            }
-            "--min-promoted-kb" => {
-                thresholds.min_promoted_bytes =
-                    (parse_f64(iter.next(), "--min-promoted-kb") * 1024.0) as u64;
-            }
-            other => panic!(
-                "unknown argument `{other}` (expected --baseline/--current <path> and optional \
-                 --speedup-thresholds <path> --pause-thresholds <path> \
-                 --latency-thresholds <path> \
-                 --max-wall-ratio/--max-promoted-ratio/--min-wall-ms/--min-promoted-kb <n>)"
-            ),
+fn main() -> ExitCode {
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(err) => {
+            eprintln!("perfdiff: {err}");
+            ExitCode::from(2)
         }
     }
-    let baseline_path = baseline_path.expect("--baseline <path> is required");
-    let current_path = current_path.expect("--current <path> is required");
+}
 
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|err| panic!("could not read {path}: {err}"))
-    };
-    let baseline = load_points(std::path::Path::new(&baseline_path))
-        .unwrap_or_else(|err| panic!("{baseline_path}: {err}"));
-    let current = load_points(std::path::Path::new(&current_path))
-        .unwrap_or_else(|err| panic!("{current_path}: {err}"));
+/// Runs both gates; `Ok(false)` means a regression.
+fn run() -> Result<bool, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut store_dir, mut seqs, mut pins_path) = (None, None, None);
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let value = iter
+            .next()
+            .ok_or_else(|| format!("{arg} requires a value (usage: {USAGE})"))?;
+        match arg.as_str() {
+            "--store" => store_dir = Some(value),
+            "--baseline" => seqs = Some(value),
+            "--pins" => pins_path = Some(value),
+            other => return Err(format!("unknown argument `{other}` (usage: {USAGE})")),
+        }
+    }
+    let store_dir = store_dir.ok_or(format!("--store is required (usage: {USAGE})"))?;
+    let seqs = seqs.ok_or(format!("--baseline is required (usage: {USAGE})"))?;
+    let seq_list = seqs
+        .split(',')
+        .map(|s| s.trim().parse::<u64>())
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| format!("--baseline takes batch sequence numbers like 1,2, not `{seqs}`"))?;
 
-    let cmp = compare(&baseline, &current, thresholds);
-    println!("{}", markdown(&cmp, thresholds));
+    let store = Store::open(store_dir).map_err(|e| e.to_string())?;
+    let baseline = baseline_records(&store, &seq_list)?;
+    let current = current_records(&store)?;
 
-    let mut failed = false;
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
+    let cmp = compare(&baseline, &current);
+    println!("{}", markdown(&cmp));
+    let regressions = cmp.regressions().len();
+    let mut passed = regressions == 0;
+    if passed {
         eprintln!(
-            "perfdiff: {} points compared against {baseline_path}, no regression",
+            "perfdiff: {} points compared against batch(es) {seqs} of {store_dir}, no regression",
             cmp.rows.len()
         );
     } else {
         eprintln!(
-            "perfdiff: {} of {} points regressed beyond the thresholds",
-            regressions.len(),
+            "perfdiff: {regressions} of {} points regressed beyond the thresholds",
             cmp.rows.len()
         );
-        failed = true;
     }
 
-    if let Some(speedup_path) = speedup_path {
-        let pins = parse_speedup_thresholds(&read(&speedup_path))
-            .unwrap_or_else(|err| panic!("{speedup_path}: {err}"));
-        let rows = speedup_rows(&current, &pins);
-        let missing = missing_pinned_programs(&rows, &pins);
-        println!("{}", speedup_markdown(&rows, &missing));
-        let slow = rows.iter().filter(|r| r.failed()).count();
-        if slow == 0 && missing.is_empty() {
-            eprintln!(
-                "perfdiff: speedup gate passed for {} pinned programs",
-                pins.len()
-            );
+    if let Some(path) = pins_path {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let pins = parse_pins(&text).map_err(|e| format!("{path}: {e}"))?;
+        let rows = pin_rows(&current, &pins);
+        let missing = missing_pins(&rows, &pins);
+        println!("{}", pins_markdown(&rows, &missing));
+        let failed = rows.iter().filter(|r| r.failed()).count();
+        if failed == 0 && missing.is_empty() {
+            eprintln!("perfdiff: pin gate passed for {} pins", pins.len());
         } else {
             eprintln!(
-                "perfdiff: speedup gate failed ({slow} below their pin, {} missing)",
+                "perfdiff: pin gate failed ({failed} rows past their pin, {} pins missing)",
                 missing.len()
             );
-            failed = true;
+            passed = false;
         }
     }
-
-    if let Some(pause_path) = pause_path {
-        let pins = parse_pause_thresholds(&read(&pause_path))
-            .unwrap_or_else(|err| panic!("{pause_path}: {err}"));
-        let rows = pause_rows(&current, &pins);
-        let missing = missing_pause_pinned_programs(&rows, &pins);
-        println!("{}", pause_markdown(&rows, &missing));
-        let over = rows.iter().filter(|r| r.failed()).count();
-        if over == 0 && missing.is_empty() {
-            eprintln!(
-                "perfdiff: max-pause gate passed for {} pinned programs",
-                pins.len()
-            );
-        } else {
-            eprintln!(
-                "perfdiff: max-pause gate failed ({over} points over their pin, {} missing)",
-                missing.len()
-            );
-            failed = true;
-        }
-    }
-
-    if let Some(latency_path) = latency_path {
-        let pins = parse_latency_thresholds(&read(&latency_path))
-            .unwrap_or_else(|err| panic!("{latency_path}: {err}"));
-        let rows = latency_rows(&current, &pins);
-        let missing = missing_latency_pinned_programs(&rows, &pins);
-        println!("{}", latency_markdown(&rows, &missing));
-        let over = rows.iter().filter(|r| r.failed()).count();
-        if over == 0 && missing.is_empty() {
-            eprintln!(
-                "perfdiff: latency gate passed for {} pinned programs",
-                pins.len()
-            );
-        } else {
-            eprintln!(
-                "perfdiff: latency gate failed ({over} points over their pin, {} missing)",
-                missing.len()
-            );
-            failed = true;
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(passed)
 }

@@ -3,9 +3,11 @@
 //!
 //! `--backend threaded` switches to the wall-clock baseline mode instead:
 //! every workload runs at 1/2/4 vprocs under **both** execution backends,
-//! the wall-clock and simulated times are printed side by side, and
-//! `results/BENCH_threaded.json` is written (an array of `RunRecord` JSON
-//! objects — the CI perf-trajectory artifact).
+//! the wall-clock and simulated times are printed side by side, and the
+//! records are appended to the results store (`results/store`) as one
+//! batch of kind `bench-baseline`. In every mode that appends to the
+//! store, a failed append ends the sweep with exit code 1 and the store
+//! error.
 //!
 //! Baseline-mode options opening the scenario grid beyond the paper's five
 //! benchmarks:
@@ -31,7 +33,8 @@
 //! * `--serve` — instead of the baseline, run the **service scenario**: the
 //!   Request-Server program under open-loop load on both backends (plus a
 //!   bounded-pause threaded point), printing the throughput/latency table
-//!   and writing `results/SERVE_threaded.json`. `MGC_SCALE=bench` selects
+//!   and appending a batch of kind `serve` to the results store.
+//!   `MGC_SCALE=bench` selects
 //!   the benchmark preset (4 workers, 2,000 req/s for 5 s);
 //!   `MGC_SERVE_SECONDS` and `MGC_SERVE_RPS` override the stream shape;
 //! * `--corpus <manifest.json>` — instead of the baseline, sweep the run
@@ -51,6 +54,15 @@ fn positive(value: Option<&String>, flag: &str) -> usize {
         .unwrap_or_else(|_| panic!("{flag} requires a positive integer value"));
     assert!(parsed > 0, "{flag} requires a positive integer value");
     parsed
+}
+
+/// Ends the sweep with exit code 1 when its batch did not reach the store:
+/// the store is the only place the numbers land.
+fn exit_on_store_error(appended: Result<u64, mgc_store::StoreError>) {
+    if let Err(err) = appended {
+        eprintln!("sweep: could not append to the results store: {err}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -125,10 +137,10 @@ fn main() {
     let churn = churn_requested.then_some(churn_params);
 
     if let Some(manifest) = corpus {
-        mgc_bench::corpus::run_corpus_and_report(
+        exit_on_store_error(mgc_bench::corpus::run_corpus_and_report(
             std::path::Path::new(&manifest),
             std::path::Path::new(&store_dir),
-        );
+        ));
         return;
     }
     if figure8 {
@@ -140,12 +152,14 @@ fn main() {
         return;
     }
     if serve {
-        mgc_bench::run_serve_and_report();
+        exit_on_store_error(mgc_bench::run_serve_and_report());
         return;
     }
 
     match backend {
-        mgc_runtime::Backend::Threaded => mgc_bench::run_baseline_and_report(churn, placement),
+        mgc_runtime::Backend::Threaded => {
+            exit_on_store_error(mgc_bench::run_baseline_and_report(churn, placement));
+        }
         mgc_runtime::Backend::Simulated => {
             assert!(
                 churn.is_none(),

@@ -29,7 +29,7 @@ use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
 use mgc_runtime::{Backend, Experiment, Program, RunRecord};
 use mgc_server::{ServeParams, ServerProgram, SERVE_QUANTUM_NS};
 use mgc_store::json::{self, JsonValue};
-use mgc_store::{RunMeta, Store};
+use mgc_store::{RunMeta, StoreError};
 use mgc_workloads::{Scale, Workload};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -388,8 +388,8 @@ pub fn format_corpus(records: &[RunRecord]) -> String {
 
 /// Runs a corpus manifest end-to-end: parse, sweep, print the summary, and
 /// append one batch of kind `corpus:<name>` to `store_dir`. Returns the
-/// appended batch's sequence number.
-pub fn run_corpus_and_report(manifest_path: &Path, store_dir: &Path) -> u64 {
+/// appended batch's sequence number, or the store error.
+pub fn run_corpus_and_report(manifest_path: &Path, store_dir: &Path) -> Result<u64, StoreError> {
     let text = std::fs::read_to_string(manifest_path)
         .unwrap_or_else(|err| panic!("could not read {}: {err}", manifest_path.display()));
     let manifest =
@@ -403,19 +403,13 @@ pub fn run_corpus_and_report(manifest_path: &Path, store_dir: &Path) -> u64 {
     let records = run_corpus(&manifest);
     println!("{}", format_corpus(&records));
     let meta = RunMeta::capture(&format!("corpus:{}", manifest.name), &manifest.scale);
-    let seq = Store::append(store_dir, &meta, &records)
-        .unwrap_or_else(|err| panic!("could not append to {}: {err}", store_dir.display()));
-    println!(
-        "appended batch {seq} ({} records) to {}",
-        records.len(),
-        store_dir.display()
-    );
-    seq
+    crate::persist_points(store_dir, &meta, &records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgc_store::Store;
 
     fn manifest_json(points: &str) -> String {
         format!(

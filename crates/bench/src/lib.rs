@@ -22,7 +22,7 @@ use mgc_heap::HeapConfig;
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
 use mgc_runtime::{run_records_json, Backend, EnvOverrides, Experiment, Program, RunRecord};
 use mgc_server::{ServeParams, ServerProgram, SERVE_QUANTUM_NS};
-use mgc_store::{RunMeta, Store};
+use mgc_store::{RunMeta, Store, StoreError};
 use mgc_workloads::churn::{Churn, ChurnParams};
 use mgc_workloads::{speedup_series, Scale, SpeedupPoint, Workload};
 use std::fmt::Write as _;
@@ -209,8 +209,8 @@ pub fn table1() -> String {
 
 // ----------------------------------------------------------------------
 // Wall-clock baselines: the simulated and the threaded backend side by
-// side. This is what the `bench-baseline` CI job runs and uploads as
-// `BENCH_threaded.json`, giving the perf trajectory its first real points.
+// side. This is the sweep the `perf-gate` CI job appends to the results
+// store and gates against the checked-in seed batch.
 // ----------------------------------------------------------------------
 
 /// Vproc counts the baseline sweep covers (the CI runners have few cores,
@@ -375,7 +375,7 @@ pub fn format_baseline(points: &[RunRecord]) -> String {
 
 /// One line per program comparing promoted bytes on the threaded backend
 /// against the eager-publication upper bound implied by the simulated
-/// model's promotion volume — the `bench-baseline` CI job prints this into
+/// model's promotion volume — the `perf-gate` CI job prints this into
 /// the job summary so the lazy-promotion win is visible per PR.
 pub fn promoted_bytes_summary(points: &[RunRecord]) -> String {
     let mut out = String::new();
@@ -416,57 +416,42 @@ pub fn scale_name_from_env() -> String {
     }
 }
 
-/// Persists a sweep's records both ways: appends one batch of `kind` to
-/// the results store, then writes the legacy flat array
-/// `results/<flat_name>` as an **export of that batch**
-/// ([`Batch::flat_records_json`](mgc_store::Batch::flat_records_json)) —
-/// the flat artifact is generated through the store, so the two can never
-/// drift apart. If the store append fails the flat file is still written
-/// directly, so CI artifacts survive a read-only store directory.
-fn persist_points(kind: &str, flat_name: &str, points: &[RunRecord]) {
-    let store_dir = std::path::Path::new(STORE_DIR);
-    let meta = RunMeta::capture(kind, &scale_name_from_env());
-    let flat = match Store::append(store_dir, &meta, points) {
-        Ok(seq) => {
-            println!(
-                "appended batch {seq} ({} records) to {}",
-                points.len(),
-                store_dir.display()
-            );
-            Store::open(store_dir)
-                .ok()
-                .and_then(|store| store.batch(seq).map(|b| b.flat_records_json()))
-                .unwrap_or_else(|| run_records_json(points))
-        }
-        Err(err) => {
-            eprintln!(
-                "warning: could not append to {}: {err}",
-                store_dir.display()
-            );
-            run_records_json(points)
-        }
-    };
-    let dir = std::path::Path::new("results");
-    if let Err(err) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create {}: {err}", dir.display());
-        return;
-    }
-    let path = dir.join(flat_name);
-    match std::fs::write(&path, flat) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
-    }
+/// Appends a sweep's records to the results store at `store_dir` as one
+/// batch and returns its sequence number. Every sweep persists through
+/// here. A failed append is the caller's error to report: the store is the
+/// only place a sweep's numbers land, so it must never be dropped with a
+/// warning.
+pub fn persist_points(
+    store_dir: &std::path::Path,
+    meta: &RunMeta,
+    points: &[RunRecord],
+) -> Result<u64, StoreError> {
+    let seq = Store::append(store_dir, meta, points)?;
+    println!(
+        "appended batch {seq} ({} records) to {}",
+        points.len(),
+        store_dir.display()
+    );
+    Ok(seq)
 }
 
-/// Runs the baseline sweep, prints the side-by-side table, appends the
-/// records to the results store, and writes `results/BENCH_threaded.json`
-/// (the flat export of that batch — the CI `bench-baseline` artifact).
-pub fn run_baseline_and_report(churn: Option<ChurnParams>, placement: PlacementPolicy) {
+/// Persists a sweep of `kind` at the ambient `MGC_SCALE` to [`STORE_DIR`].
+fn persist_sweep(kind: &str, points: &[RunRecord]) -> Result<u64, StoreError> {
+    let meta = RunMeta::capture(kind, &scale_name_from_env());
+    persist_points(std::path::Path::new(STORE_DIR), &meta, points)
+}
+
+/// Runs the baseline sweep, prints the side-by-side table, and appends the
+/// records to the results store as a batch of kind `bench-baseline`.
+pub fn run_baseline_and_report(
+    churn: Option<ChurnParams>,
+    placement: PlacementPolicy,
+) -> Result<u64, StoreError> {
     let scale = scale_from_env();
     let points = run_baseline(scale, churn, placement);
     println!("{}", format_baseline(&points));
     println!("{}", promoted_bytes_summary(&points));
-    persist_points("bench-baseline", "BENCH_threaded.json", &points);
+    persist_sweep("bench-baseline", &points)
 }
 
 // ----------------------------------------------------------------------
@@ -674,8 +659,8 @@ pub fn run_host_smoke_and_report() {
 // simulated point (deterministic, correlation-ready), one plain threaded
 // point (wall-clock latency percentiles), and one threaded point under the
 // bounded-pause budget — so the latency tail can be read against the GC
-// pause tail on the same page. This is what the CI `serve-smoke` job runs
-// and uploads as `SERVE_threaded.json`.
+// pause tail on the same page. The `perf-gate` CI job appends it to the
+// results store and gates its p99 latency.
 // ----------------------------------------------------------------------
 
 /// The soft global-collection pause budget (µs) of the bounded-pause serve
@@ -778,15 +763,13 @@ pub fn format_serve(points: &[RunRecord]) -> String {
     out
 }
 
-/// Runs the serve sweep end-to-end, printing the latency table, appending
-/// the records to the results store, and writing
-/// `results/SERVE_threaded.json` (the flat export of that batch — the CI
-/// `serve-smoke` artifact).
-pub fn run_serve_and_report() {
+/// Runs the serve sweep end-to-end, printing the latency table and
+/// appending the records to the results store as a batch of kind `serve`.
+pub fn run_serve_and_report() -> Result<u64, StoreError> {
     let params = serve_params_from_env();
     let points = run_serve(params);
     println!("{}", format_serve(&points));
-    persist_points("serve", "SERVE_threaded.json", &points);
+    persist_sweep("serve", &points)
 }
 
 pub mod corpus;
@@ -891,6 +874,25 @@ mod tests {
         let summary = promoted_bytes_summary(&points);
         assert!(summary.contains("promoted-bytes Dense-Matrix-Multiply"));
         assert!(summary.contains("steal-driven"));
+    }
+
+    /// A sweep whose batch cannot reach the store gets the store error
+    /// back instead of a warning: the store is the only copy.
+    #[test]
+    fn a_failed_store_append_is_an_error() {
+        let point = baseline_point(
+            &|| Workload::Dmm.program(Scale::tiny()),
+            Backend::Simulated,
+            1,
+            PlacementPolicy::NodeLocal,
+        );
+        // A regular file where the store directory should be.
+        let blocker = std::env::temp_dir().join(format!("mgc-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, "not a directory").unwrap();
+        let meta = RunMeta::capture("test", "tiny");
+        let err = persist_points(&blocker, &meta, &[point]).unwrap_err();
+        std::fs::remove_file(blocker).unwrap();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
     }
 
     #[test]

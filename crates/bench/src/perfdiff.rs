@@ -1,222 +1,88 @@
-//! The CI perf gate: compares a fresh baseline sweep against the checked-in
-//! reference (`results/baseline/BENCH_threaded.json`) and fails on real
-//! regressions while tolerating runner noise.
+//! The CI perf gate, read from one results store.
 //!
-//! Inputs are read through the typed [`mgc_store`] query API — no JSON is
-//! parsed by hand here. Each side of the comparison is either a **results
-//! store directory** (`results/store/`), read as the latest record per
-//! run-point key via [`mgc_store::Query::latest_per_key`], or a **legacy
-//! flat file**: an array of `RunRecord` JSON objects (one per line, as
-//! written by [`mgc_runtime::run_records_json`]), accepted for one PR
-//! cycle through the store's ingest shim. Records are matched by
-//! `(program, backend, vprocs, placement, pause_budget_us)` — a budgeted
-//! run is a different experiment from an unbudgeted one, so the two never
-//! compare against each other. For each matched pair two quantities are
-//! gated:
+//! Both record sets come from one store directory (`results/store/`)
+//! through the typed [`mgc_store`] query API. The **baseline** is the
+//! records of the checked-in seed batches, named by sequence number; the
+//! **current** sweep is the latest record per run-point key over the whole
+//! store ([`Query::latest_per_key`]), so a sweep appended on top of the
+//! seeds shadows every key it re-measures. Two gates run over them:
 //!
-//! * **wall-clock time** (threaded records only) — fails when the current
-//!   time exceeds `max_wall_ratio ×` the baseline. Runner noise is handled
-//!   by an absolute floor: a point is only gated once both sides are padded
-//!   to `min_wall_ns` (sub-floor points are pure scheduler jitter at tiny
-//!   scale);
-//! * **promoted bytes** — fails beyond `max_promoted_ratio ×` the baseline,
-//!   with the analogous `min_promoted_bytes` floor (steal timing makes tiny
-//!   promotion volumes nondeterministic on real threads).
+//! * **The comparison** matches records by run-point key (`program,
+//!   backend, vprocs, placement, pause_budget_us` — a budgeted run is a
+//!   different experiment from an unbudgeted one). A matched pair fails on
+//!   a wall clock (threaded records only) beyond [`MAX_WALL_RATIO`] × the
+//!   baseline or promoted bytes beyond [`MAX_PROMOTED_RATIO`] ×, with both
+//!   sides first padded to the noise floors [`MIN_WALL_NS`] and
+//!   [`MIN_PROMOTED_BYTES`] (sub-floor points are scheduler jitter). A
+//!   baseline point with no current counterpart fails as missing.
+//! * **The pins** ([`Pin`], checked in as `results/baseline/pins.json`)
+//!   each bound one [`Metric`] of one program's threaded points in the
+//!   current sweep only — a baseline recorded on a host with a different
+//!   core count says nothing about scaling or pauses here. The bounds are
+//!   absolute, so a regression fails even if the baseline already had it.
+//!   A pinned program with no threaded point, or a point that lacks the
+//!   pinned telemetry, fails loudly instead of passing.
 //!
-//! A third, independent gate pins **parallel speedup**: per program, the
-//! ratio of the current sweep's 1-vproc wall-clock to its highest-vproc
-//! wall-clock on the threaded backend must stay above a checked-in
-//! threshold (`results/baseline/speedup-thresholds.json`). Speedup is
-//! computed from the *current* sweep only — a baseline recorded on a
-//! machine with a different core count says nothing about scaling here.
-//!
-//! A fourth gate pins **maximum pause**: per program, every threaded point
-//! in the current sweep must keep its largest recorded mutator pause under
-//! an absolute checked-in ceiling
-//! (`results/baseline/pause-thresholds.json`, milliseconds). Like speedup,
-//! it reads the current sweep only; unlike the ratio gates, the pin is
-//! absolute — a pause regression is a regression even if the baseline
-//! already had it.
-//!
-//! A fifth gate pins **request latency**: per serving program, every
-//! threaded point in the current sweep must keep its 99th-percentile
-//! end-to-end request latency under an absolute checked-in ceiling
-//! (`results/baseline/latency-thresholds.json`, milliseconds). Same shape
-//! as the pause gate: current sweep only, absolute pins, and a pinned
-//! program whose records carry no latency telemetry fails loudly.
-//!
-//! The comparison renders as a Markdown table so the CI job can write it
-//! straight into `$GITHUB_STEP_SUMMARY`.
+//! Both gates render as Markdown for `$GITHUB_STEP_SUMMARY`.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
+use mgc_store::json::{self, JsonValue};
 use mgc_store::{Query, Store, StoredRecord};
 
-/// One record's perf-relevant fields, extracted from a stored record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfPoint {
-    /// Program name.
-    pub program: String,
-    /// Backend label (`simulated`/`threaded`).
-    pub backend: String,
-    /// Vproc count.
-    pub vprocs: u64,
-    /// Placement-policy label.
-    pub placement: String,
-    /// Wall-clock nanoseconds (`None` for simulated records).
-    pub wall_clock_ns: Option<f64>,
-    /// Total promoted bytes.
-    pub promoted_bytes: u64,
-    /// Largest single mutator pause, in nanoseconds (`None` for records
-    /// that predate pause telemetry).
-    pub pause_max_ns: Option<f64>,
-    /// 99th-percentile mutator pause, in nanoseconds (`None` for records
-    /// that predate pause telemetry).
-    pub pause_p99_ns: Option<f64>,
-    /// The configured global-collection pause budget, in microseconds
-    /// (`None` for unbudgeted runs and for records that predate the knob).
-    /// Part of the matching key: a budgeted run trades throughput for
-    /// bounded pauses, so comparing it against an unbudgeted baseline would
-    /// gate apples against oranges.
-    pub pause_budget_us: Option<u64>,
-    /// 99th-percentile end-to-end request latency, in nanoseconds (`None`
-    /// for records that predate the serving scenario; zero for programs
-    /// that serve no requests).
-    pub latency_p99_ns: Option<f64>,
-    /// 99.9th-percentile end-to-end request latency, in nanoseconds
-    /// (informational alongside the gated p99).
-    pub latency_p999_ns: Option<f64>,
+/// Largest tolerated `current / baseline` wall-clock ratio.
+pub const MAX_WALL_RATIO: f64 = 2.5;
+/// Largest tolerated `current / baseline` promoted-bytes ratio.
+pub const MAX_PROMOTED_RATIO: f64 = 1.5;
+/// Noise floor: both sides of a wall-clock comparison are padded up to
+/// this many nanoseconds before the ratio is taken.
+pub const MIN_WALL_NS: f64 = 5e6;
+/// Noise floor for the promoted-bytes comparison, in bytes.
+pub const MIN_PROMOTED_BYTES: u64 = 64 * 1024;
+
+/// The baseline: the records of the batches `seqs`, latest per run-point
+/// key, in batch order. A sequence number the store does not hold is an
+/// error, not an empty baseline.
+pub fn baseline_records<'a>(
+    store: &'a Store,
+    seqs: &[u64],
+) -> Result<Vec<&'a StoredRecord>, String> {
+    let mut records = Vec::new();
+    for &seq in seqs {
+        let batch = store
+            .batch(seq)
+            .ok_or_else(|| format!("{} holds no batch {seq}", store.dir().display()))?;
+        records.extend(&batch.records);
+    }
+    checked(Query::new().latest_per_key_over(records))
 }
 
-impl PerfPoint {
-    fn key(&self) -> (String, String, u64, String, Option<u64>) {
-        (
-            self.program.clone(),
-            self.backend.clone(),
-            self.vprocs,
-            self.placement.clone(),
-            self.pause_budget_us,
-        )
-    }
+/// The current sweep: the latest record per run-point key over the whole
+/// store.
+pub fn current_records(store: &Store) -> Result<Vec<&StoredRecord>, String> {
+    checked(Query::new().latest_per_key(store))
+}
 
-    /// Extracts the gate-relevant fields from one stored record.
-    ///
-    /// Field semantics are unchanged from the old line parser: a missing
-    /// `wall_clock_ns` key or `promoted_bytes` is an error; pause and
-    /// latency telemetry, the budget knob, and the placement label are all
-    /// newer than the oldest records the gate still reads, so absent (or
-    /// `null`) values degrade to `None` / the historical default instead
-    /// of failing.
-    pub fn from_record(record: &StoredRecord) -> Result<PerfPoint, String> {
-        let missing = |key: &str| format!("record is missing \"{key}\": {}", record.raw());
-        let bad = |key: &str| format!("bad {key}: {}", record.raw());
-        // Pause telemetry is newer than the record schema: absent or null
-        // fields read as `None` so old baselines still load.
-        let optional_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match record.field(key) {
-                None => Ok(None),
-                Some(v) if v.is_null() => Ok(None),
-                Some(v) => v.as_f64().map(Some).ok_or_else(|| bad(key)),
-            }
-        };
-        let wall = record
-            .field("wall_clock_ns")
-            .ok_or_else(|| missing("wall_clock_ns"))?;
-        Ok(PerfPoint {
-            program: record
-                .str_field("program")
-                .ok_or_else(|| missing("program"))?
-                .to_string(),
-            backend: record
-                .str_field("backend")
-                .ok_or_else(|| missing("backend"))?
-                .to_string(),
-            vprocs: record.u64_field("vprocs").ok_or_else(|| bad("vprocs"))?,
-            // Older baselines predate the placement field; the accessor
-            // defaults it so the gate still matches their points.
-            placement: record.placement().to_string(),
-            wall_clock_ns: if wall.is_null() {
-                None
-            } else {
-                Some(wall.as_f64().ok_or_else(|| bad("wall_clock_ns"))?)
-            },
-            promoted_bytes: record
-                .field("promoted_bytes")
-                .ok_or_else(|| missing("promoted_bytes"))?
-                .as_u64()
-                .ok_or_else(|| bad("promoted_bytes"))?,
-            pause_max_ns: optional_f64("pause_max_ns")?,
-            pause_p99_ns: optional_f64("pause_p99_ns")?,
-            // Like the pause telemetry, the budget knob is newer than the
-            // schema: absent or null reads as `None` (an unbudgeted run).
-            pause_budget_us: match record.field("pause_budget_us") {
-                None => None,
-                Some(v) if v.is_null() => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| bad("pause_budget_us"))?),
-            },
-            latency_p99_ns: optional_f64("latency_p99_ns")?,
-            latency_p999_ns: optional_f64("latency_p999_ns")?,
-        })
+/// Rejects records the comparison cannot read: every record carries a
+/// numeric `wall_clock_ns` (`null` on simulated runs) and an integer
+/// `promoted_bytes`. The pin telemetry is newer than the oldest records,
+/// so it may be absent; a pinned point without it fails its pin instead.
+fn checked(records: Vec<&StoredRecord>) -> Result<Vec<&StoredRecord>, String> {
+    let unreadable = |r: &&&StoredRecord| {
+        let wall = r.field("wall_clock_ns");
+        wall.is_none_or(|w| !w.is_null() && w.as_f64().is_none()) || r.promoted_bytes().is_none()
+    };
+    match records.iter().find(unreadable) {
+        Some(r) => Err(format!(
+            "record lacks a numeric \"wall_clock_ns\" or \"promoted_bytes\": {}",
+            r.raw()
+        )),
+        None => Ok(records),
     }
 }
 
-/// Converts stored records — a store query result or a flat-file ingest —
-/// into perf points, preserving record order.
-pub fn points_from_records<'a>(
-    records: impl IntoIterator<Item = &'a StoredRecord>,
-) -> Result<Vec<PerfPoint>, String> {
-    records.into_iter().map(PerfPoint::from_record).collect()
-}
-
-/// Parses legacy flat `RunRecord` JSON array text into perf points via the
-/// store's ingest shim (every record, in file order — flat files carry no
-/// history, so there is nothing to deduplicate).
-pub fn parse_run_records(json: &str) -> Result<Vec<PerfPoint>, String> {
-    let records = mgc_store::parse_flat_records(json, "run records").map_err(|e| e.to_string())?;
-    points_from_records(&records)
-}
-
-/// Loads perf points from either results source:
-///
-/// * a **store directory** — opened with [`Store::open`]; the comparison
-///   set is the latest record per run-point key, so re-running a sweep
-///   appends a batch and the gate reads the fresh numbers;
-/// * a **legacy flat file** — a `RunRecord` JSON array, read through the
-///   one-PR-cycle ingest shim.
-pub fn load_points(path: &Path) -> Result<Vec<PerfPoint>, String> {
-    if path.is_dir() {
-        let store = Store::open(path).map_err(|e| e.to_string())?;
-        points_from_records(Query::new().latest_per_key(&store))
-    } else {
-        let records = mgc_store::ingest_flat_file(path).map_err(|e| e.to_string())?;
-        points_from_records(&records)
-    }
-}
-
-/// Regression thresholds; the defaults are the CI gate's contract.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Maximum tolerated `current / baseline` wall-clock ratio.
-    pub max_wall_ratio: f64,
-    /// Maximum tolerated `current / baseline` promoted-bytes ratio.
-    pub max_promoted_ratio: f64,
-    /// Noise floor: both sides of a wall-clock comparison are padded up to
-    /// this many nanoseconds before the ratio is taken.
-    pub min_wall_ns: f64,
-    /// Noise floor for the promoted-bytes comparison, in bytes.
-    pub min_promoted_bytes: u64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            max_wall_ratio: 2.5,
-            max_promoted_ratio: 1.5,
-            min_wall_ns: 5e6,
-            min_promoted_bytes: 64 * 1024,
-        }
-    }
+fn promoted(record: &StoredRecord) -> f64 {
+    record.promoted_bytes().unwrap_or(0) as f64
 }
 
 /// Verdict for one compared point.
@@ -234,11 +100,11 @@ pub enum Verdict {
 
 /// One row of the comparison table.
 #[derive(Debug, Clone)]
-pub struct Row {
-    /// The matched baseline point.
-    pub baseline: PerfPoint,
-    /// The current point, when present.
-    pub current: Option<PerfPoint>,
+pub struct Row<'a> {
+    /// The baseline record.
+    pub baseline: &'a StoredRecord,
+    /// The current record with the same key, when present.
+    pub current: Option<&'a StoredRecord>,
     /// Padded wall-clock ratio, when both sides report wall time.
     pub wall_ratio: Option<f64>,
     /// Padded promoted-bytes ratio.
@@ -249,17 +115,17 @@ pub struct Row {
 
 /// The whole comparison.
 #[derive(Debug, Clone)]
-pub struct Comparison {
-    /// One row per baseline point, in baseline order.
-    pub rows: Vec<Row>,
-    /// Current points with no baseline counterpart (new programs/axes —
+pub struct Comparison<'a> {
+    /// One row per baseline record, in baseline order.
+    pub rows: Vec<Row<'a>>,
+    /// Current records with no baseline counterpart (new programs/axes —
     /// informational, never a failure).
-    pub new_points: Vec<PerfPoint>,
+    pub new_points: Vec<&'a StoredRecord>,
 }
 
-impl Comparison {
+impl Comparison<'_> {
     /// The rows that failed the gate.
-    pub fn regressions(&self) -> Vec<&Row> {
+    pub fn regressions(&self) -> Vec<&Row<'_>> {
         self.rows
             .iter()
             .filter(|r| r.verdict != Verdict::Ok)
@@ -267,37 +133,37 @@ impl Comparison {
     }
 }
 
-/// Compares a current sweep against the baseline.
-pub fn compare(baseline: &[PerfPoint], current: &[PerfPoint], t: Thresholds) -> Comparison {
+/// Compares the current sweep against the baseline, key by key.
+pub fn compare<'a>(baseline: &[&'a StoredRecord], current: &[&'a StoredRecord]) -> Comparison<'a> {
     let rows = baseline
         .iter()
-        .map(|base| {
-            let matched = current.iter().find(|c| c.key() == base.key()).cloned();
-            let Some(cur) = &matched else {
+        .map(|&base| {
+            let key = base.record_key();
+            let matched = current.iter().copied().find(|c| c.record_key() == key);
+            let Some(cur) = matched else {
                 return Row {
-                    baseline: base.clone(),
+                    baseline: base,
                     current: None,
                     wall_ratio: None,
                     promoted_ratio: 0.0,
                     verdict: Verdict::Missing,
                 };
             };
-            let wall_ratio = match (base.wall_clock_ns, cur.wall_clock_ns) {
-                (Some(b), Some(c)) => Some(c.max(t.min_wall_ns) / b.max(t.min_wall_ns)),
+            let wall_ratio = match (base.wall_clock_ns(), cur.wall_clock_ns()) {
+                (Some(b), Some(c)) => Some(c.max(MIN_WALL_NS) / b.max(MIN_WALL_NS)),
                 _ => None,
             };
-            let floor = t.min_promoted_bytes as f64;
-            let promoted_ratio =
-                (cur.promoted_bytes as f64).max(floor) / (base.promoted_bytes as f64).max(floor);
-            let verdict = if wall_ratio.is_some_and(|r| r > t.max_wall_ratio) {
+            let floor = MIN_PROMOTED_BYTES as f64;
+            let promoted_ratio = promoted(cur).max(floor) / promoted(base).max(floor);
+            let verdict = if wall_ratio.is_some_and(|r| r > MAX_WALL_RATIO) {
                 Verdict::WallRegression
-            } else if promoted_ratio > t.max_promoted_ratio {
+            } else if promoted_ratio > MAX_PROMOTED_RATIO {
                 Verdict::PromotedRegression
             } else {
                 Verdict::Ok
             };
             Row {
-                baseline: base.clone(),
+                baseline: base,
                 current: matched,
                 wall_ratio,
                 promoted_ratio,
@@ -307,23 +173,28 @@ pub fn compare(baseline: &[PerfPoint], current: &[PerfPoint], t: Thresholds) -> 
         .collect();
     let new_points = current
         .iter()
-        .filter(|c| baseline.iter().all(|b| b.key() != c.key()))
-        .cloned()
+        .copied()
+        .filter(|c| {
+            let key = c.record_key();
+            baseline.iter().all(|b| b.record_key() != key)
+        })
         .collect();
     Comparison { rows, new_points }
 }
 
+fn ms(ns: Option<f64>, digits: usize) -> String {
+    ns.map_or("—".to_string(), |v| format!("{:.digits$}", v / 1e6))
+}
+
 /// Renders the comparison as a Markdown table (for `$GITHUB_STEP_SUMMARY`).
-pub fn markdown(cmp: &Comparison, t: Thresholds) -> String {
+pub fn markdown(cmp: &Comparison) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "### Perf gate — wall-clock ≤ {:.1}×, promoted bytes ≤ {:.1}× \
-         (noise floors: {:.0} ms / {} KiB)\n",
-        t.max_wall_ratio,
-        t.max_promoted_ratio,
-        t.min_wall_ns / 1e6,
-        t.min_promoted_bytes / 1024,
+        "### Perf gate — wall-clock ≤ {MAX_WALL_RATIO:.1}×, promoted bytes ≤ \
+         {MAX_PROMOTED_RATIO:.1}× (noise floors: {:.0} ms / {} KiB)\n",
+        MIN_WALL_NS / 1e6,
+        MIN_PROMOTED_BYTES / 1024,
     );
     let _ = writeln!(
         out,
@@ -332,13 +203,10 @@ pub fn markdown(cmp: &Comparison, t: Thresholds) -> String {
     );
     let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|");
     for row in &cmp.rows {
-        let b = &row.baseline;
-        let ms = |ns: Option<f64>| ns.map_or("—".to_string(), |v| format!("{:.2}", v / 1e6));
-        let (wall_now, promoted_now) = row
-            .current
-            .as_ref()
-            .map_or(("—".to_string(), "—".to_string()), |c| {
-                (ms(c.wall_clock_ns), c.promoted_bytes.to_string())
+        let b = row.baseline;
+        let (wall_now, promoted_now) =
+            row.current.map_or(("—".to_string(), "—".to_string()), |c| {
+                (ms(c.wall_clock_ns(), 2), promoted(c).to_string())
             });
         let verdict = match row.verdict {
             Verdict::Ok => "ok",
@@ -349,15 +217,15 @@ pub fn markdown(cmp: &Comparison, t: Thresholds) -> String {
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} | {} |",
-            b.program,
-            b.backend,
-            b.vprocs,
-            b.placement,
-            ms(b.wall_clock_ns),
+            b.program(),
+            b.backend(),
+            b.vprocs(),
+            b.placement(),
+            ms(b.wall_clock_ns(), 2),
             wall_now,
             row.wall_ratio
                 .map_or("—".to_string(), |r| format!("{r:.2}")),
-            b.promoted_bytes,
+            promoted(b),
             promoted_now,
             row.promoted_ratio,
             verdict,
@@ -369,7 +237,10 @@ pub fn markdown(cmp: &Comparison, t: Thresholds) -> String {
             let _ = writeln!(
                 out,
                 "- {} / {} / {} vprocs / {}",
-                p.program, p.backend, p.vprocs, p.placement
+                p.program(),
+                p.backend(),
+                p.vprocs(),
+                p.placement()
             );
         }
     }
@@ -377,467 +248,306 @@ pub fn markdown(cmp: &Comparison, t: Thresholds) -> String {
 }
 
 // ----------------------------------------------------------------------
-// The speedup gate
+// The pins
 // ----------------------------------------------------------------------
 
-/// A pinned program: its threaded speedup (1-vproc wall / highest-vproc
-/// wall) must not fall below `min_speedup`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupThreshold {
-    /// Program name, as it appears in the run records.
-    pub program: String,
-    /// Minimum tolerated speedup.
-    pub min_speedup: f64,
+/// The metric a [`Pin`] bounds, read from a program's threaded points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Parallel speedup per placement: the 1-vproc wall clock divided by
+    /// the highest-vproc wall clock. The bound is a floor.
+    Speedup,
+    /// Each point's largest single mutator pause. The bound is a ceiling
+    /// in milliseconds.
+    PauseMaxMs,
+    /// Each point's 99th-percentile end-to-end request latency. The bound
+    /// is a ceiling in milliseconds.
+    LatencyP99Ms,
 }
 
-/// Parses the checked-in thresholds file: a JSON object with one
-/// `"program": min_speedup` pair per line (same machine-written line
-/// discipline as the run records).
-pub fn parse_speedup_thresholds(json: &str) -> Result<Vec<SpeedupThreshold>, String> {
-    let mut thresholds = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let (program, value) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("bad threshold line: {line}"))?;
-        thresholds.push(SpeedupThreshold {
-            program: program.to_string(),
-            min_speedup: value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad speedup for {program}: {e}"))?,
-        });
+impl Metric {
+    const ALL: [Metric; 3] = [Metric::Speedup, Metric::PauseMaxMs, Metric::LatencyP99Ms];
+
+    /// The metric's name in the pin file.
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::Speedup => "speedup",
+            Metric::PauseMaxMs => "pause_max_ms",
+            Metric::LatencyP99Ms => "latency_p99_ms",
+        }
     }
-    Ok(thresholds)
-}
 
-/// One program's scaling behaviour in the current sweep.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// Program name.
-    pub program: String,
-    /// Placement-policy label.
-    pub placement: String,
-    /// `(vprocs, wall_clock_ns)` for every threaded point, ascending.
-    pub walls: Vec<(u64, f64)>,
-    /// 1-vproc wall / highest-vproc wall, when both ends exist.
-    pub speedup: Option<f64>,
-    /// The pinned minimum, when this program is gated.
-    pub min_speedup: Option<f64>,
-}
+    /// Whether a measured value breaches `bound`. A speedup is a bare
+    /// ratio; pauses and latencies are measured in nanoseconds and pinned
+    /// in milliseconds.
+    fn breaches(self, value: f64, bound: f64) -> bool {
+        match self {
+            Metric::Speedup => value < bound,
+            Metric::PauseMaxMs | Metric::LatencyP99Ms => value > bound * 1e6,
+        }
+    }
 
-impl SpeedupRow {
-    /// Whether this row fails the gate: it is pinned and either scales
-    /// worse than the pin or lacks the points to measure.
-    pub fn failed(&self) -> bool {
-        match (self.speedup, self.min_speedup) {
-            (Some(s), Some(min)) => s < min,
-            (None, Some(_)) => true,
-            _ => false,
+    /// The Markdown cells of a row: the value and the bound in the pin's
+    /// unit, and the verdict when the row fails.
+    fn cells(self, value: Option<f64>, bound: f64) -> (String, String, &'static str) {
+        match self {
+            Metric::Speedup => (
+                value.map_or("—".to_string(), |s| format!("{s:.2}×")),
+                format!("≥ {bound:.2}×"),
+                "**SPEEDUP REGRESSION**",
+            ),
+            Metric::PauseMaxMs => (
+                ms(value, 3),
+                format!("≤ {bound:.3}"),
+                "**PAUSE REGRESSION**",
+            ),
+            Metric::LatencyP99Ms => (
+                ms(value, 3),
+                format!("≤ {bound:.3}"),
+                "**LATENCY REGRESSION**",
+            ),
         }
     }
 }
 
-/// Computes per-program speedup rows from the current sweep's threaded
-/// points and attaches the pinned thresholds.
-pub fn speedup_rows(current: &[PerfPoint], thresholds: &[SpeedupThreshold]) -> Vec<SpeedupRow> {
-    let mut rows: Vec<SpeedupRow> = Vec::new();
-    for p in current.iter().filter(|p| p.backend == "threaded") {
-        let Some(wall) = p.wall_clock_ns else {
-            continue;
-        };
-        let row = match rows
-            .iter_mut()
-            .find(|r| r.program == p.program && r.placement == p.placement)
-        {
-            Some(row) => row,
-            None => {
-                rows.push(SpeedupRow {
-                    program: p.program.clone(),
-                    placement: p.placement.clone(),
-                    walls: Vec::new(),
-                    speedup: None,
-                    min_speedup: None,
-                });
-                rows.last_mut().expect("just pushed")
-            }
-        };
-        row.walls.push((p.vprocs, wall));
+/// One program's bound on one metric.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pin {
+    /// Program name, as it appears in the run records.
+    pub program: String,
+    /// What is bounded.
+    pub metric: Metric,
+    /// The bound: a floor for [`Metric::Speedup`], a ceiling in
+    /// milliseconds otherwise.
+    pub bound: f64,
+}
+
+/// Parses a pin file: a non-empty JSON array of
+/// `{"program": ..., "metric": ..., "bound": ...}` objects, in any layout.
+/// Anything that could quietly weaken the gate is rejected with an error
+/// naming the entry: an empty list, a second pin for the same
+/// `(program, metric)`, an unknown metric or field, a missing or repeated
+/// field, and a bound that is not a number.
+pub fn parse_pins(text: &str) -> Result<Vec<Pin>, String> {
+    let value = json::parse(text).map_err(|e| e.to_string())?;
+    let entries = value
+        .as_array()
+        .ok_or("a pin file is a JSON array of {\"program\", \"metric\", \"bound\"} objects")?;
+    if entries.is_empty() {
+        return Err("the pin list is empty".to_string());
     }
-    for row in &mut rows {
-        row.walls.sort_by_key(|&(v, _)| v);
-        let one = row.walls.iter().find(|&&(v, _)| v == 1).map(|&(_, w)| w);
-        let top = row.walls.last().filter(|&&(v, _)| v > 1).map(|&(_, w)| w);
-        row.speedup = match (one, top) {
-            (Some(one), Some(top)) if top > 0.0 => Some(one / top),
-            _ => None,
+    let mut pins: Vec<Pin> = Vec::with_capacity(entries.len());
+    for (i, entry) in entries.iter().enumerate() {
+        let name = match entry.get("program").and_then(JsonValue::as_str) {
+            Some(program) => format!("pin {} ({program})", i + 1),
+            None => format!("pin {}", i + 1),
         };
-        row.min_speedup = thresholds
+        let pin = parse_pin(entry).map_err(|e| format!("{name}: {e}"))?;
+        if pins
             .iter()
-            .find(|t| t.program == row.program)
-            .map(|t| t.min_speedup);
+            .any(|p| p.program == pin.program && p.metric == pin.metric)
+        {
+            return Err(format!(
+                "{name}: a second {} pin for the same program",
+                pin.metric.name()
+            ));
+        }
+        pins.push(pin);
+    }
+    Ok(pins)
+}
+
+fn parse_pin(entry: &JsonValue) -> Result<Pin, String> {
+    let JsonValue::Object(fields) = entry else {
+        return Err("not a {\"program\", \"metric\", \"bound\"} object".to_string());
+    };
+    let (mut program, mut metric, mut bound) = (None, None, None);
+    for (key, value) in fields {
+        let repeated = match key.as_str() {
+            "program" => {
+                let name = value.as_str().ok_or("\"program\" is not a string")?;
+                program.replace(name.to_string()).is_some()
+            }
+            "metric" => {
+                let name = value.as_str().ok_or("\"metric\" is not a string")?;
+                let known = Metric::ALL.into_iter().find(|m| m.name() == name);
+                let known = known.ok_or_else(|| {
+                    format!(
+                        "unknown metric \"{name}\" (expected speedup, pause_max_ms or \
+                         latency_p99_ms)"
+                    )
+                })?;
+                metric.replace(known).is_some()
+            }
+            "bound" => {
+                let number = value.as_f64().ok_or("\"bound\" is not a number")?;
+                bound.replace(number).is_some()
+            }
+            other => return Err(format!("unknown field \"{other}\"")),
+        };
+        if repeated {
+            return Err(format!("field \"{key}\" appears twice"));
+        }
+    }
+    Ok(Pin {
+        program: program.ok_or("missing \"program\"")?,
+        metric: metric.ok_or("missing \"metric\"")?,
+        bound: bound.ok_or("missing \"bound\"")?,
+    })
+}
+
+/// One checked row of the pin gate.
+#[derive(Debug, Clone)]
+pub struct PinRow<'p> {
+    /// The pin this row is checked against.
+    pub pin: &'p Pin,
+    /// Placement-policy label.
+    pub placement: String,
+    /// The vproc count of the point, or `1→N` for a speedup row.
+    pub vprocs: String,
+    /// The point's pause budget in microseconds (`None` when unbudgeted,
+    /// and on speedup rows).
+    pub pause_budget_us: Option<u64>,
+    /// The measured value: a ratio for a speedup, nanoseconds otherwise.
+    /// `None` when the sweep lacks the points or the telemetry to measure.
+    pub value: Option<f64>,
+    /// Context for the reader: the walls behind a speedup, the p99 pause
+    /// next to the max, the p99.9 latency next to the p99.
+    pub detail: String,
+}
+
+impl PinRow<'_> {
+    /// Whether this row fails its pin: the value breaches the bound, or
+    /// there is no value to check.
+    pub fn failed(&self) -> bool {
+        self.value
+            .is_none_or(|v| self.pin.metric.breaches(v, self.pin.bound))
+    }
+}
+
+/// Builds the rows every pin checks in the current sweep, pin by pin: one
+/// row per placement for a speedup pin, one row per threaded point for the
+/// others.
+pub fn pin_rows<'p>(current: &[&StoredRecord], pins: &'p [Pin]) -> Vec<PinRow<'p>> {
+    let mut rows = Vec::new();
+    for pin in pins {
+        let points = current
+            .iter()
+            .filter(|r| r.backend() == "threaded" && r.program() == pin.program);
+        if pin.metric == Metric::Speedup {
+            rows.extend(speedup_rows(pin, points));
+            continue;
+        }
+        rows.extend(points.map(|r| {
+            let (value, detail) = if pin.metric == Metric::PauseMaxMs {
+                (
+                    r.pause_max_ns(),
+                    format!("p99 {} ms", ms(r.pause_p99_ns(), 3)),
+                )
+            } else {
+                (
+                    r.latency_p99_ns(),
+                    format!("p99.9 {} ms", ms(r.latency_p999_ns(), 3)),
+                )
+            };
+            PinRow {
+                pin,
+                placement: r.placement().to_string(),
+                vprocs: r.vprocs().to_string(),
+                pause_budget_us: r.pause_budget_us(),
+                value,
+                detail,
+            }
+        }));
     }
     rows
 }
 
-/// Pinned programs that do not appear in the sweep at all — deleting a
-/// gated benchmark must not silently pass the gate.
-pub fn missing_pinned_programs<'a>(
-    rows: &[SpeedupRow],
-    thresholds: &'a [SpeedupThreshold],
-) -> Vec<&'a str> {
-    thresholds
-        .iter()
-        .filter(|t| rows.iter().all(|r| r.program != t.program))
-        .map(|t| t.program.as_str())
-        .collect()
-}
-
-/// Renders the speedup table as Markdown (for `$GITHUB_STEP_SUMMARY`).
-pub fn speedup_markdown(rows: &[SpeedupRow], missing: &[&str]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "### Speedup gate — threaded wall-clock, highest vprocs vs 1 (current sweep)\n"
-    );
-    let _ = writeln!(
-        out,
-        "| program | placement | wall per vprocs (ms) | speedup | pinned min | verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|");
-    for row in rows {
-        let walls = row
-            .walls
-            .iter()
-            .map(|&(v, w)| format!("{v}v: {:.2}", w / 1e6))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let verdict = if row.failed() {
-            "**SPEEDUP REGRESSION**"
-        } else if row.min_speedup.is_some() {
-            "ok"
-        } else {
-            "not pinned"
-        };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} |",
-            row.program,
-            row.placement,
-            walls,
-            row.speedup.map_or("—".to_string(), |s| format!("{s:.2}×")),
-            row.min_speedup
-                .map_or("—".to_string(), |m| format!("{m:.2}×")),
-            verdict,
-        );
-    }
-    for program in missing {
-        let _ = writeln!(
-            out,
-            "\n**MISSING PINNED PROGRAM**: `{program}` has a speedup threshold but no \
-             threaded points in the sweep."
-        );
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// The max-pause gate
-// ----------------------------------------------------------------------
-
-/// A pinned program: no threaded point in the current sweep may record a
-/// single mutator pause longer than `max_pause_ms`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PauseThreshold {
-    /// Program name, as it appears in the run records.
-    pub program: String,
-    /// Maximum tolerated single pause, in milliseconds (absolute).
-    pub max_pause_ms: f64,
-}
-
-/// Parses the checked-in pause-thresholds file: a JSON object with one
-/// `"program": max_pause_ms` pair per line (same machine-written line
-/// discipline as the speedup thresholds).
-pub fn parse_pause_thresholds(json: &str) -> Result<Vec<PauseThreshold>, String> {
-    let mut thresholds = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
+/// One speedup row per placement, over the points that measured a wall
+/// clock: 1-vproc wall / highest-vproc wall, `None` unless both ends exist.
+fn speedup_rows<'a, 'p>(
+    pin: &'p Pin,
+    points: impl Iterator<Item = &'a &'a StoredRecord>,
+) -> Vec<PinRow<'p>> {
+    let mut placements: Vec<(&str, Vec<(u64, f64)>)> = Vec::new();
+    for r in points {
+        let Some(wall) = r.wall_clock_ns() else {
             continue;
         };
-        let (program, value) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("bad threshold line: {line}"))?;
-        thresholds.push(PauseThreshold {
-            program: program.to_string(),
-            max_pause_ms: value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad max pause for {program}: {e}"))?,
-        });
-    }
-    Ok(thresholds)
-}
-
-/// One threaded point's pause behaviour in the current sweep.
-#[derive(Debug, Clone)]
-pub struct PauseRow {
-    /// Program name.
-    pub program: String,
-    /// Placement-policy label.
-    pub placement: String,
-    /// Vproc count.
-    pub vprocs: u64,
-    /// Largest single pause of the run, in nanoseconds (`None` when the
-    /// record carries no pause telemetry).
-    pub pause_max_ns: Option<f64>,
-    /// 99th-percentile pause, in nanoseconds (informational).
-    pub pause_p99_ns: Option<f64>,
-    /// The pinned ceiling in milliseconds, when this program is gated.
-    pub max_pause_ms: Option<f64>,
-}
-
-impl PauseRow {
-    /// Whether this row fails the gate: it is pinned and either pauses
-    /// longer than the ceiling or carries no pause telemetry to check.
-    pub fn failed(&self) -> bool {
-        match (self.pause_max_ns, self.max_pause_ms) {
-            (Some(ns), Some(max_ms)) => ns > max_ms * 1e6,
-            (None, Some(_)) => true,
-            _ => false,
+        match placements.iter_mut().find(|(p, _)| *p == r.placement()) {
+            Some((_, walls)) => walls.push((r.vprocs(), wall)),
+            None => placements.push((r.placement(), vec![(r.vprocs(), wall)])),
         }
     }
-}
-
-/// Builds one pause row per threaded point of the current sweep and
-/// attaches the pinned ceilings.
-pub fn pause_rows(current: &[PerfPoint], thresholds: &[PauseThreshold]) -> Vec<PauseRow> {
-    current
-        .iter()
-        .filter(|p| p.backend == "threaded")
-        .map(|p| PauseRow {
-            program: p.program.clone(),
-            placement: p.placement.clone(),
-            vprocs: p.vprocs,
-            pause_max_ns: p.pause_max_ns,
-            pause_p99_ns: p.pause_p99_ns,
-            max_pause_ms: thresholds
+    placements
+        .into_iter()
+        .map(|(placement, mut walls)| {
+            walls.sort_by_key(|&(v, _)| v);
+            let one = walls.iter().find(|&&(v, _)| v == 1).map(|&(_, w)| w);
+            let (top_vprocs, top) = walls.last().copied().unwrap_or_default();
+            let value = match one {
+                Some(one) if top_vprocs > 1 && top > 0.0 => Some(one / top),
+                _ => None,
+            };
+            let detail = walls
                 .iter()
-                .find(|t| t.program == p.program)
-                .map(|t| t.max_pause_ms),
+                .map(|&(v, w)| format!("{v}v: {:.2}", w / 1e6))
+                .collect::<Vec<_>>()
+                .join(", ");
+            PinRow {
+                pin,
+                placement: placement.to_string(),
+                vprocs: format!("1→{top_vprocs}"),
+                pause_budget_us: None,
+                value,
+                detail: format!("wall {detail} ms"),
+            }
         })
         .collect()
 }
 
-/// Pinned programs with no threaded point in the sweep — deleting a gated
-/// benchmark must not silently pass the pause gate.
-pub fn missing_pause_pinned_programs<'a>(
-    rows: &[PauseRow],
-    thresholds: &'a [PauseThreshold],
-) -> Vec<&'a str> {
-    thresholds
-        .iter()
-        .filter(|t| rows.iter().all(|r| r.program != t.program))
-        .map(|t| t.program.as_str())
+/// Pins with no row at all: the program has no threaded point in the
+/// sweep. Deleting a pinned benchmark must not silently pass the gate.
+pub fn missing_pins<'p>(rows: &[PinRow<'p>], pins: &'p [Pin]) -> Vec<&'p Pin> {
+    pins.iter()
+        .filter(|pin| rows.iter().all(|r| r.pin != *pin))
         .collect()
 }
 
-/// Renders the pause table as Markdown (for `$GITHUB_STEP_SUMMARY`).
-pub fn pause_markdown(rows: &[PauseRow], missing: &[&str]) -> String {
+/// Renders the pin gate as a Markdown table (for `$GITHUB_STEP_SUMMARY`).
+pub fn pins_markdown(rows: &[PinRow], missing: &[&Pin]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "### Max-pause gate — largest single mutator pause, threaded points \
-         (current sweep, absolute pins)\n"
+        "### Pin gate — threaded points of the current sweep (absolute pins)\n"
     );
     let _ = writeln!(
         out,
-        "| program | placement | vprocs | p99 pause (ms) | max pause (ms) | pinned max (ms) | verdict |"
+        "| program | metric | placement | vprocs | budget (µs) | value | pin | detail | verdict |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
     for row in rows {
-        let ms = |ns: Option<f64>| ns.map_or("—".to_string(), |v| format!("{:.3}", v / 1e6));
-        let verdict = if row.failed() {
-            "**PAUSE REGRESSION**"
-        } else if row.max_pause_ms.is_some() {
-            "ok"
-        } else {
-            "not pinned"
-        };
+        let (value, bound, regression) = row.pin.metric.cells(row.value, row.pin.bound);
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {} |",
-            row.program,
-            row.placement,
-            row.vprocs,
-            ms(row.pause_p99_ns),
-            ms(row.pause_max_ns),
-            row.max_pause_ms
-                .map_or("—".to_string(), |m| format!("{m:.3}")),
-            verdict,
-        );
-    }
-    for program in missing {
-        let _ = writeln!(
-            out,
-            "\n**MISSING PINNED PROGRAM**: `{program}` has a pause threshold but no \
-             threaded points in the sweep."
-        );
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// The latency gate
-// ----------------------------------------------------------------------
-
-/// A pinned serving program: no threaded point in the current sweep may
-/// report a 99th-percentile end-to-end request latency above `max_p99_ms`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyThreshold {
-    /// Program name, as it appears in the run records.
-    pub program: String,
-    /// Maximum tolerated p99 request latency, in milliseconds (absolute).
-    pub max_p99_ms: f64,
-}
-
-/// Parses the checked-in latency-thresholds file: a JSON object with one
-/// `"program": max_p99_ms` pair per line (same machine-written line
-/// discipline as the speedup and pause thresholds).
-pub fn parse_latency_thresholds(json: &str) -> Result<Vec<LatencyThreshold>, String> {
-    let mut thresholds = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let (program, value) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("bad threshold line: {line}"))?;
-        thresholds.push(LatencyThreshold {
-            program: program.to_string(),
-            max_p99_ms: value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad max p99 latency for {program}: {e}"))?,
-        });
-    }
-    Ok(thresholds)
-}
-
-/// One threaded point's request-latency behaviour in the current sweep.
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// Program name.
-    pub program: String,
-    /// Placement-policy label.
-    pub placement: String,
-    /// Vproc count.
-    pub vprocs: u64,
-    /// The configured pause budget, in microseconds (budgeted and
-    /// unbudgeted serve points both appear, each gated against the pin).
-    pub pause_budget_us: Option<u64>,
-    /// 99th-percentile request latency, in nanoseconds (`None` when the
-    /// record carries no latency telemetry).
-    pub latency_p99_ns: Option<f64>,
-    /// 99.9th-percentile request latency, in nanoseconds (informational).
-    pub latency_p999_ns: Option<f64>,
-    /// The pinned ceiling in milliseconds, when this program is gated.
-    pub max_p99_ms: Option<f64>,
-}
-
-impl LatencyRow {
-    /// Whether this row fails the gate: it is pinned and either misses the
-    /// p99 ceiling or carries no latency telemetry to check.
-    pub fn failed(&self) -> bool {
-        match (self.latency_p99_ns, self.max_p99_ms) {
-            (Some(ns), Some(max_ms)) => ns > max_ms * 1e6,
-            (None, Some(_)) => true,
-            _ => false,
-        }
-    }
-}
-
-/// Builds one latency row per threaded point of the current sweep and
-/// attaches the pinned ceilings.
-pub fn latency_rows(current: &[PerfPoint], thresholds: &[LatencyThreshold]) -> Vec<LatencyRow> {
-    current
-        .iter()
-        .filter(|p| p.backend == "threaded")
-        .map(|p| LatencyRow {
-            program: p.program.clone(),
-            placement: p.placement.clone(),
-            vprocs: p.vprocs,
-            pause_budget_us: p.pause_budget_us,
-            latency_p99_ns: p.latency_p99_ns,
-            latency_p999_ns: p.latency_p999_ns,
-            max_p99_ms: thresholds
-                .iter()
-                .find(|t| t.program == p.program)
-                .map(|t| t.max_p99_ms),
-        })
-        .collect()
-}
-
-/// Pinned programs with no threaded point in the sweep — deleting a gated
-/// serving program must not silently pass the latency gate.
-pub fn missing_latency_pinned_programs<'a>(
-    rows: &[LatencyRow],
-    thresholds: &'a [LatencyThreshold],
-) -> Vec<&'a str> {
-    thresholds
-        .iter()
-        .filter(|t| rows.iter().all(|r| r.program != t.program))
-        .map(|t| t.program.as_str())
-        .collect()
-}
-
-/// Renders the latency table as Markdown (for `$GITHUB_STEP_SUMMARY`).
-pub fn latency_markdown(rows: &[LatencyRow], missing: &[&str]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "### Latency gate — p99 end-to-end request latency, threaded points \
-         (current sweep, absolute pins)\n"
-    );
-    let _ = writeln!(
-        out,
-        "| program | placement | vprocs | budget (µs) | p99 (ms) | p99.9 (ms) | \
-         pinned p99 (ms) | verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-    for row in rows {
-        let ms = |ns: Option<f64>| ns.map_or("—".to_string(), |v| format!("{:.3}", v / 1e6));
-        let verdict = if row.failed() {
-            "**LATENCY REGRESSION**"
-        } else if row.max_p99_ms.is_some() {
-            "ok"
-        } else {
-            "not pinned"
-        };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
-            row.program,
+            "| {} | {} | {} | {} | {} | {value} | {bound} | {} | {} |",
+            row.pin.program,
+            row.pin.metric.name(),
             row.placement,
             row.vprocs,
             row.pause_budget_us
                 .map_or("—".to_string(), |us| us.to_string()),
-            ms(row.latency_p99_ns),
-            ms(row.latency_p999_ns),
-            row.max_p99_ms
-                .map_or("—".to_string(), |m| format!("{m:.3}")),
-            verdict,
+            row.detail,
+            if row.failed() { regression } else { "ok" },
         );
     }
-    for program in missing {
+    for pin in missing {
         let _ = writeln!(
             out,
-            "\n**MISSING PINNED PROGRAM**: `{program}` has a latency threshold but no \
-             threaded points in the sweep."
+            "\n**MISSING PINNED PROGRAM**: `{}` has a {} pin but no threaded points in the \
+             sweep.",
+            pin.program,
+            pin.metric.name()
         );
     }
     out
@@ -847,708 +557,620 @@ pub fn latency_markdown(rows: &[LatencyRow], missing: &[&str]) -> String {
 mod tests {
     use super::*;
 
-    fn record_line(program: &str, backend: &str, vprocs: u64, wall: &str, promoted: u64) -> String {
+    /// A record line of `program` at `vprocs` with the given JSON members.
+    fn record(program: &str, backend: &str, vprocs: u64, members: &str) -> String {
         format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"{backend}\", \
-             \"vprocs\": {vprocs}, \"topology\": \"test-dual-node\", \"policy\": \"local\", \
-             \"placement\": \"node-local\", \"wall_clock_ns\": {wall}, \
-             \"promoted_bytes\": {promoted}, \"steals\": 0}}"
+            "{{\"program\": \"{program}\", \"backend\": \"{backend}\", \"vprocs\": {vprocs}, \
+             \"placement\": \"node-local\", {members}}}"
         )
     }
 
-    fn json(lines: &[String]) -> String {
-        format!("[\n{}\n]\n", lines.join(",\n"))
+    /// A threaded record with only a wall clock and a promotion volume, as
+    /// the oldest sweeps wrote them.
+    fn walled(program: &str, vprocs: u64, wall_ns: u64, promoted: u64) -> String {
+        let members = format!("\"wall_clock_ns\": {wall_ns}, \"promoted_bytes\": {promoted}");
+        record(program, "threaded", vprocs, &members)
     }
 
-    fn record_line_with_pauses(
-        program: &str,
-        vprocs: u64,
-        pause_max: &str,
-        pause_p99: &str,
-    ) -> String {
-        format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"threaded\", \
-             \"vprocs\": {vprocs}, \"placement\": \"node-local\", \
-             \"wall_clock_ns\": 50000000, \"promoted_bytes\": 0, \
-             \"pause_count\": 12, \"pause_max_ns\": {pause_max}, \
-             \"pause_p50_ns\": 1000, \"pause_p99_ns\": {pause_p99}}}"
-        )
+    /// A threaded record with pause telemetry.
+    fn paused(program: &str, vprocs: u64, max_ns: u64, p99_ns: u64) -> String {
+        let members = format!(
+            "\"wall_clock_ns\": 50000000, \"promoted_bytes\": 0, \"pause_max_ns\": {max_ns}, \
+             \"pause_p99_ns\": {p99_ns}"
+        );
+        record(program, "threaded", vprocs, &members)
+    }
+
+    /// A threaded Request-Server record at 4 vprocs with latency telemetry.
+    fn serving(budget: &str, p99_ns: u64, p999_ns: u64) -> String {
+        let members = format!(
+            "\"wall_clock_ns\": 5000000000, \"promoted_bytes\": 0, \"pause_budget_us\": {budget}, \
+             \"latency_p99_ns\": {p99_ns}, \"latency_p999_ns\": {p999_ns}"
+        );
+        record("Request-Server", "threaded", 4, &members)
+    }
+
+    /// Parses record lines the way a store batch holds them.
+    fn records(lines: &[String]) -> Vec<StoredRecord> {
+        let parse = |(i, line): (usize, &String)| StoredRecord::from_raw(line, 1, i, "test");
+        lines
+            .iter()
+            .enumerate()
+            .map(parse)
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
+
+    fn refs(records: &[StoredRecord]) -> Vec<&StoredRecord> {
+        records.iter().collect()
+    }
+
+    /// The verdicts of the failing rows of a comparison, and its Markdown.
+    fn regressions(baseline: &[String], current: &[String]) -> (Vec<Verdict>, String) {
+        let (baseline, current) = (records(baseline), records(current));
+        let cmp = compare(&refs(&baseline), &refs(&current));
+        let verdicts = cmp.regressions().iter().map(|r| r.verdict).collect();
+        (verdicts, markdown(&cmp))
+    }
+
+    /// One pin's rows over a sweep, reduced to owned data.
+    struct Checked {
+        values: Vec<Option<f64>>,
+        failed: Vec<bool>,
+        details: Vec<String>,
+        missing: bool,
+        markdown: String,
+    }
+
+    fn check(lines: &[String], program: &str, metric: Metric, bound: f64) -> Checked {
+        let sweep = records(lines);
+        let pins = [Pin {
+            program: program.to_string(),
+            metric,
+            bound,
+        }];
+        let rows = pin_rows(&refs(&sweep), &pins);
+        let missing = missing_pins(&rows, &pins);
+        Checked {
+            values: rows.iter().map(|r| r.value).collect(),
+            failed: rows.iter().map(PinRow::failed).collect(),
+            details: rows.iter().map(|r| r.detail.clone()).collect(),
+            missing: !missing.is_empty(),
+            markdown: pins_markdown(&rows, &missing),
+        }
     }
 
     #[test]
     fn parses_machine_written_records() {
-        let text = json(&[
-            record_line("Barnes-Hut", "threaded", 4, "280000000", 257072),
-            record_line("Barnes-Hut", "simulated", 4, "null", 300000),
+        let simulated = "\"wall_clock_ns\": null, \"promoted_bytes\": 1";
+        let sweep = records(&[
+            walled("Barnes-Hut", 4, 280000000, 257072),
+            record("Barnes-Hut", "simulated", 4, simulated),
         ]);
-        let points = parse_run_records(&text).expect("the records parse");
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].program, "Barnes-Hut");
-        assert_eq!(points[0].backend, "threaded");
-        assert_eq!(points[0].vprocs, 4);
-        assert_eq!(points[0].placement, "node-local");
-        assert_eq!(points[0].wall_clock_ns, Some(280000000.0));
-        assert_eq!(points[0].promoted_bytes, 257072);
-        assert_eq!(points[1].wall_clock_ns, None);
+        let sweep = checked(refs(&sweep)).expect("the records are readable");
+        let cmp = compare(&sweep, &sweep);
+        assert_eq!(cmp.rows[0].wall_ratio, Some(1.0));
+        assert_eq!(cmp.rows[1].wall_ratio, None, "simulated runs have no wall");
+        assert!(markdown(&cmp).contains("| Barnes-Hut | threaded | 4 | node-local | 280.00 |"));
+
+        // A record without a wall-clock field or a promotion count is refused.
+        for unreadable in ["\"promoted_bytes\": 0", "\"wall_clock_ns\": 5"] {
+            let sweep = records(&[record("Dmm", "threaded", 1, unreadable)]);
+            let err = checked(refs(&sweep)).unwrap_err();
+            assert!(err.starts_with("record lacks a numeric"), "{err}");
+        }
     }
 
     #[test]
     fn parses_real_run_record_json() {
-        use mgc_runtime::{Backend, Experiment};
+        use mgc_runtime::{Backend, EnvOverrides, Experiment};
         use mgc_workloads::{Scale, Workload};
         let record = Experiment::new(Workload::Dmm.program(Scale::tiny()))
-            .env_overrides(mgc_runtime::EnvOverrides::default())
+            .env_overrides(EnvOverrides::default())
             .backend(Backend::Threaded)
             .run()
             .expect("a one-vproc DMM run is valid");
-        let text = mgc_runtime::run_records_json(std::slice::from_ref(&record));
-        let points = parse_run_records(&text).expect("real records parse");
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].program, "Dense-Matrix-Multiply");
-        assert!(points[0].wall_clock_ns.is_some());
+        let records = records(&[record.to_json()]);
+        let records = checked(refs(&records)).expect("real records are readable");
+        assert_eq!(records[0].program(), "Dense-Matrix-Multiply");
+        assert!(records[0].wall_clock_ns().is_some());
+        assert!(compare(&records, &records).regressions().is_empty());
     }
 
     #[test]
     fn identical_sweeps_pass_the_gate() {
-        let text = json(&[record_line("Quicksort", "threaded", 2, "20000000", 500000)]);
-        let points = parse_run_records(&text).unwrap();
-        let cmp = compare(&points, &points, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-        assert!(markdown(&cmp, Thresholds::default()).contains("| ok |"));
+        let sweep = [walled("Quicksort", 2, 20000000, 500000)];
+        let (verdicts, md) = regressions(&sweep, &sweep);
+        assert!(verdicts.is_empty());
+        assert!(md.contains("| ok |"));
     }
 
     /// The acceptance demonstration: an injected 3× wall-clock regression
     /// (beyond the 2.5× gate) must turn the comparison red.
     #[test]
     fn injected_3x_wall_regression_fails_the_gate() {
-        let baseline = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "100000000",
-            257072,
-        )]))
-        .unwrap();
-        let slowed = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "300000000",
-            257072,
-        )]))
-        .unwrap();
-        let cmp = compare(&baseline, &slowed, Thresholds::default());
-        let regressions = cmp.regressions();
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].verdict, Verdict::WallRegression);
-        assert!(markdown(&cmp, Thresholds::default()).contains("WALL REGRESSION"));
+        let (verdicts, md) = regressions(
+            &[walled("Barnes-Hut", 4, 100000000, 257072)],
+            &[walled("Barnes-Hut", 4, 300000000, 257072)],
+        );
+        assert_eq!(verdicts, vec![Verdict::WallRegression]);
+        assert!(md.contains("WALL REGRESSION"));
     }
 
     #[test]
     fn promoted_bytes_regression_fails_and_noise_floor_tolerates_tiny_points() {
-        let baseline = parse_run_records(&json(&[record_line(
-            "Churn", "threaded", 2, "50000000", 200000,
-        )]))
-        .unwrap();
-        let bloated = parse_run_records(&json(&[record_line(
-            "Churn", "threaded", 2, "50000000", 400000,
-        )]))
-        .unwrap();
-        let cmp = compare(&baseline, &bloated, Thresholds::default());
-        assert_eq!(cmp.regressions()[0].verdict, Verdict::PromotedRegression);
+        let (verdicts, _) = regressions(
+            &[walled("Churn", 2, 50000000, 200000)],
+            &[walled("Churn", 2, 50000000, 400000)],
+        );
+        assert_eq!(verdicts, vec![Verdict::PromotedRegression]);
 
         // Sub-floor points never regress: 0.1 ms → 2 ms is 20× but both are
         // noise next to the 5 ms floor; 1 KiB → 60 KiB promoted likewise.
-        let tiny_base =
-            parse_run_records(&json(&[record_line("Dmm", "threaded", 1, "100000", 1024)])).unwrap();
-        let tiny_now = parse_run_records(&json(&[record_line(
-            "Dmm", "threaded", 1, "2000000", 61440,
-        )]))
-        .unwrap();
-        let cmp = compare(&tiny_base, &tiny_now, Thresholds::default());
-        assert!(cmp.regressions().is_empty(), "noise must not fail the gate");
+        let (verdicts, _) = regressions(
+            &[walled("Dmm", 1, 100000, 1024)],
+            &[walled("Dmm", 1, 2000000, 61440)],
+        );
+        assert!(verdicts.is_empty(), "noise must not fail the gate");
     }
 
     #[test]
-    fn speedup_thresholds_file_round_trips() {
-        let text = "{\n  \"Dense-Matrix-Multiply\": 2.0,\n  \"Raytracer\": 1.8\n}\n";
-        let thresholds = parse_speedup_thresholds(text).expect("thresholds parse");
-        assert_eq!(thresholds.len(), 2);
-        assert_eq!(thresholds[0].program, "Dense-Matrix-Multiply");
-        assert_eq!(thresholds[0].min_speedup, 2.0);
-        assert_eq!(thresholds[1].min_speedup, 1.8);
+    fn pins_file_round_trips() {
+        let pins = parse_pins(
+            "[\n  {\"program\": \"Dense-Matrix-Multiply\", \"metric\": \"speedup\", \"bound\": 2.0},\
+             \n  {\"program\": \"Barnes-Hut\", \"metric\": \"pause_max_ms\", \"bound\": 20.0},\
+             \n  {\"bound\": 25, \"metric\": \"latency_p99_ms\", \"program\": \"Request-Server\"}\n]\n",
+        )
+        .expect("pins parse");
+        let read: Vec<(&str, Metric, f64)> = pins
+            .iter()
+            .map(|p| (p.program.as_str(), p.metric, p.bound))
+            .collect();
+        assert_eq!(
+            read,
+            vec![
+                ("Dense-Matrix-Multiply", Metric::Speedup, 2.0),
+                ("Barnes-Hut", Metric::PauseMaxMs, 20.0),
+                ("Request-Server", Metric::LatencyP99Ms, 25.0),
+            ]
+        );
+    }
+
+    /// A pin file written on one line is parsed whole, and the old
+    /// `{"program": bound}` object form is refused instead of read as
+    /// zero pins.
+    #[test]
+    fn one_line_pin_files_are_parsed_whole_or_refused() {
+        let pins = parse_pins(
+            "[{\"program\": \"Dense-Matrix-Multiply\", \"metric\": \"speedup\", \"bound\": 2.0}, \
+             {\"program\": \"Quicksort\", \"metric\": \"speedup\", \"bound\": 1.5}]",
+        )
+        .expect("a one-line pin list parses");
+        assert_eq!(pins.len(), 2);
+        assert_eq!(
+            (pins[1].program.as_str(), pins[1].bound),
+            ("Quicksort", 1.5)
+        );
+
+        let err = parse_pins("{\"Dense-Matrix-Multiply\": 2.0, \"Quicksort\": 1.5}").unwrap_err();
+        assert!(err.contains("JSON array"), "{err}");
     }
 
     #[test]
-    fn healthy_scaling_passes_the_speedup_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line("Dmm", "threaded", 1, "100000000", 0),
-            record_line("Dmm", "threaded", 2, "55000000", 0),
-            record_line("Dmm", "threaded", 4, "30000000", 0),
-            record_line("Dmm", "simulated", 4, "null", 0),
-        ]))
-        .unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].walls.len(), 3, "simulated points are excluded");
-        let speedup = rows[0].speedup.expect("both ends present");
-        assert!((speedup - 100.0 / 30.0).abs() < 1e-9);
-        assert!(!rows[0].failed());
-        assert!(missing_pinned_programs(&rows, &thresholds).is_empty());
-        assert!(speedup_markdown(&rows, &[]).contains("| ok |"));
+    fn pin_files_that_would_weaken_the_gate_are_rejected() {
+        let qs = "{\"program\": \"Quicksort\", \"metric\": \"speedup\", \"bound\": 1.5}";
+        let one = |edit: (&str, &str)| format!("[{}]", qs.replace(edit.0, edit.1));
+        for (text, error) in [
+            ("[]".to_string(), "the pin list is empty"),
+            (qs.to_string(), "a pin file is a JSON array"),
+            ("[2.0]".to_string(), "pin 1: not a"),
+            (
+                format!("[{qs}, {qs}]"),
+                "pin 2 (Quicksort): a second speedup pin",
+            ),
+            (
+                one(("speedup", "p99")),
+                "pin 1 (Quicksort): unknown metric \"p99\"",
+            ),
+            (
+                one(("1.5", "\"1.5\"")),
+                "pin 1 (Quicksort): \"bound\" is not a number",
+            ),
+            (
+                one(("}", ", \"note\": 1}")),
+                "pin 1 (Quicksort): unknown field \"note\"",
+            ),
+            (
+                one(("\"metric\": \"speedup\", ", "")),
+                "pin 1 (Quicksort): missing \"metric\"",
+            ),
+            (
+                one(("}", ", \"bound\": 9}")),
+                "pin 1 (Quicksort): field \"bound\" appears twice",
+            ),
+        ] {
+            let err = parse_pins(&text).unwrap_err();
+            assert!(err.starts_with(error), "`{error}` does not start: {err}");
+        }
     }
 
-    /// The acceptance demonstration for the speedup gate: a sweep whose
-    /// 4-vproc time barely improves on 1 vproc (an injected scaling
-    /// regression) must fail a 2× pin.
+    /// The checked-in pin file holds the thirteen pins the three
+    /// per-metric threshold files used to, with the same bounds.
     #[test]
-    fn injected_scaling_regression_fails_the_speedup_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line("Dmm", "threaded", 1, "100000000", 0),
-            record_line("Dmm", "threaded", 4, "90000000", 0),
-        ]))
-        .unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        assert!(rows[0].failed(), "1.11× must fail a 2× pin");
-        assert!(speedup_markdown(&rows, &[]).contains("SPEEDUP REGRESSION"));
-    }
-
-    #[test]
-    fn unpinned_programs_and_missing_pins_are_handled() {
-        let sweep = parse_run_records(&json(&[
-            record_line("Quicksort", "threaded", 1, "100000000", 0),
-            record_line("Quicksort", "threaded", 4, "95000000", 0),
-        ]))
-        .unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        // Quicksort scales poorly but is not pinned: no failure.
-        assert!(!rows[0].failed());
-        // Dmm is pinned but absent from the sweep: that must be loud.
-        let missing = missing_pinned_programs(&rows, &thresholds);
-        assert_eq!(missing, vec!["Dmm"]);
-        assert!(speedup_markdown(&rows, &missing).contains("MISSING PINNED PROGRAM"));
-    }
-
-    #[test]
-    fn single_vproc_only_sweep_cannot_satisfy_a_pin() {
-        let sweep =
-            parse_run_records(&json(&[record_line("Dmm", "threaded", 1, "100000000", 0)])).unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        assert_eq!(rows[0].speedup, None);
-        assert!(
-            rows[0].failed(),
-            "a pinned program without a multi-vproc point must fail"
+    fn checked_in_pins_hold_every_bound() {
+        let pins = parse_pins(include_str!("../../../results/baseline/pins.json"))
+            .expect("the checked-in pins parse");
+        let bounds: Vec<(&str, &str, f64)> = pins
+            .iter()
+            .map(|p| (p.program.as_str(), p.metric.name(), p.bound))
+            .collect();
+        assert_eq!(
+            bounds,
+            vec![
+                ("Dense-Matrix-Multiply", "speedup", 2.0),
+                ("Raytracer", "speedup", 2.0),
+                ("Synthetic-Churn", "speedup", 2.0),
+                ("Quicksort", "speedup", 1.5),
+                ("SMVM", "speedup", 1.2),
+                ("Barnes-Hut", "speedup", 1.1),
+                ("Dense-Matrix-Multiply", "pause_max_ms", 5.0),
+                ("Raytracer", "pause_max_ms", 5.0),
+                ("Quicksort", "pause_max_ms", 60.0),
+                ("Barnes-Hut", "pause_max_ms", 25.0),
+                ("SMVM", "pause_max_ms", 10.0),
+                ("Synthetic-Churn", "pause_max_ms", 25.0),
+                ("Request-Server", "latency_p99_ms", 2000.0),
+            ]
         );
     }
 
     #[test]
-    fn pause_fields_parse_and_default_to_none_on_old_records() {
-        let text = json(&[
-            record_line_with_pauses("Barnes-Hut", 4, "2500000", "800000"),
-            record_line("Barnes-Hut", "threaded", 2, "280000000", 0),
-        ]);
-        let points = parse_run_records(&text).expect("the records parse");
-        assert_eq!(points[0].pause_max_ns, Some(2500000.0));
-        assert_eq!(points[0].pause_p99_ns, Some(800000.0));
-        assert_eq!(points[1].pause_max_ns, None, "old records lack the field");
-        assert_eq!(points[1].pause_p99_ns, None);
+    fn healthy_scaling_passes_the_speedup_gate() {
+        let sweep = [
+            walled("Dmm", 1, 100000000, 0),
+            walled("Dmm", 2, 55000000, 0),
+            walled("Dmm", 4, 30000000, 0),
+            record("Dmm", "simulated", 8, "\"wall_clock_ns\": null"),
+        ];
+        let c = check(&sweep, "Dmm", Metric::Speedup, 2.0);
+        assert_eq!(c.values.len(), 1);
+        assert!((c.values[0].expect("both ends present") - 100.0 / 30.0).abs() < 1e-9);
+        assert_eq!(c.failed, vec![false]);
+        assert!(!c.missing);
+        assert!(
+            c.markdown.contains(
+                "| 1→4 | — | 3.33× | ≥ 2.00× | wall 1v: 100.00, 2v: 55.00, 4v: 30.00 ms | ok |"
+            ),
+            "simulated points are excluded: {}",
+            c.markdown
+        );
+    }
+
+    /// The acceptance demonstration for the speedup pin: a sweep whose
+    /// 4-vproc time barely improves on 1 vproc (an injected scaling
+    /// regression) must fail a 2× pin.
+    #[test]
+    fn injected_scaling_regression_fails_the_speedup_gate() {
+        let sweep = [
+            walled("Dmm", 1, 100000000, 0),
+            walled("Dmm", 4, 90000000, 0),
+        ];
+        let c = check(&sweep, "Dmm", Metric::Speedup, 2.0);
+        assert_eq!(c.failed, vec![true], "1.11× must fail a 2× pin");
+        assert!(c.markdown.contains("SPEEDUP REGRESSION"));
     }
 
     #[test]
-    fn pause_thresholds_file_round_trips() {
-        let text = "{\n  \"Barnes-Hut\": 20.0,\n  \"Quicksort\": 5.5\n}\n";
-        let thresholds = parse_pause_thresholds(text).expect("thresholds parse");
-        assert_eq!(thresholds.len(), 2);
-        assert_eq!(thresholds[0].program, "Barnes-Hut");
-        assert_eq!(thresholds[0].max_pause_ms, 20.0);
-        assert_eq!(thresholds[1].max_pause_ms, 5.5);
+    fn unpinned_programs_and_missing_pins_are_handled() {
+        let sweep = [
+            walled("Quicksort", 1, 100000000, 0),
+            walled("Quicksort", 4, 95000000, 0),
+        ];
+        let c = check(&sweep, "Dmm", Metric::Speedup, 2.0);
+        // Quicksort scales poorly but is not pinned: it is not checked.
+        assert!(c.values.is_empty());
+        // Dmm is pinned but absent from the sweep: that must be loud.
+        assert!(c.missing);
+        assert!(c
+            .markdown
+            .contains("`Dmm` has a speedup pin but no threaded points"));
+    }
+
+    #[test]
+    fn single_vproc_only_sweep_cannot_satisfy_a_pin() {
+        let c = check(
+            &[walled("Dmm", 1, 100000000, 0)],
+            "Dmm",
+            Metric::Speedup,
+            2.0,
+        );
+        assert_eq!(c.values, vec![None]);
+        assert_eq!(c.failed, vec![true], "no multi-vproc point must fail");
+    }
+
+    #[test]
+    fn pause_fields_parse_and_default_to_none_on_old_records() {
+        let sweep = [
+            paused("Barnes-Hut", 4, 2500000, 800000),
+            walled("Barnes-Hut", 2, 280000000, 0),
+        ];
+        let c = check(&sweep, "Barnes-Hut", Metric::PauseMaxMs, 20.0);
+        assert_eq!(c.values, vec![Some(2500000.0), None], "old records lack it");
+        assert_eq!(c.details, vec!["p99 0.800 ms", "p99 — ms"]);
     }
 
     #[test]
     fn pauses_under_the_pin_pass_the_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line_with_pauses("Barnes-Hut", 1, "1500000", "900000"),
-            record_line_with_pauses("Barnes-Hut", 4, "2500000", "800000"),
-        ]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| !r.failed()));
-        assert!(missing_pause_pinned_programs(&rows, &thresholds).is_empty());
-        assert!(pause_markdown(&rows, &[]).contains("| ok |"));
+        let sweep = [
+            paused("Barnes-Hut", 1, 1500000, 900000),
+            paused("Barnes-Hut", 4, 2500000, 800000),
+        ];
+        let c = check(&sweep, "Barnes-Hut", Metric::PauseMaxMs, 20.0);
+        assert_eq!(c.failed, vec![false, false]);
+        assert!(!c.missing);
+        assert!(c
+            .markdown
+            .contains("| 2.500 | ≤ 20.000 | p99 0.800 ms | ok |"));
     }
 
-    /// The acceptance demonstration for the pause gate: a sweep whose max
-    /// pause blows past its absolute pin must turn the comparison red.
+    /// The acceptance demonstration for the pause pin: a sweep whose max
+    /// pause blows past its absolute pin must turn the gate red.
     #[test]
     fn injected_pause_regression_fails_the_gate() {
-        // 50 ms max pause against a 20 ms pin.
-        let sweep = parse_run_records(&json(&[record_line_with_pauses(
-            "Barnes-Hut",
-            4,
-            "50000000",
-            "3000000",
-        )]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        assert!(rows[0].failed(), "50 ms must fail a 20 ms pin");
-        assert!(pause_markdown(&rows, &[]).contains("PAUSE REGRESSION"));
+        let sweep = [paused("Barnes-Hut", 4, 50000000, 3000000)];
+        let c = check(&sweep, "Barnes-Hut", Metric::PauseMaxMs, 20.0);
+        assert_eq!(c.failed, vec![true], "50 ms must fail a 20 ms pin");
+        assert!(c.markdown.contains("PAUSE REGRESSION"));
     }
 
     #[test]
     fn pinned_points_without_pause_telemetry_fail_loudly() {
         // An old-schema record (no pause fields) for a pinned program must
-        // not silently pass.
-        let sweep = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "280000000",
-            0,
-        )]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        assert!(rows[0].failed());
-
-        // Unpinned programs without telemetry are merely "not pinned".
-        let rows = pause_rows(&sweep, &[]);
-        assert!(!rows[0].failed());
-        assert!(pause_markdown(&rows, &[]).contains("not pinned"));
+        // not silently pass; an unpinned one is not checked at all.
+        let sweep = [walled("Barnes-Hut", 4, 280000000, 0)];
+        let c = check(&sweep, "Barnes-Hut", Metric::PauseMaxMs, 20.0);
+        assert_eq!(c.failed, vec![true]);
+        assert!(check(&sweep, "SMVM", Metric::PauseMaxMs, 20.0)
+            .values
+            .is_empty());
     }
 
     #[test]
     fn missing_pause_pins_are_loud() {
-        let sweep = parse_run_records(&json(&[record_line_with_pauses(
-            "Quicksort",
-            2,
-            "1000000",
-            "500000",
-        )]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        let missing = missing_pause_pinned_programs(&rows, &thresholds);
-        assert_eq!(missing, vec!["Barnes-Hut"]);
-        assert!(pause_markdown(&rows, &missing).contains("MISSING PINNED PROGRAM"));
-    }
-
-    fn record_line_with_budget(program: &str, vprocs: u64, budget: &str) -> String {
-        format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"threaded\", \
-             \"vprocs\": {vprocs}, \"placement\": \"node-local\", \
-             \"wall_clock_ns\": 50000000, \"promoted_bytes\": 0, \
-             \"pause_budget_us\": {budget}}}"
-        )
+        let sweep = [paused("Quicksort", 2, 1000000, 500000)];
+        let c = check(&sweep, "Barnes-Hut", Metric::PauseMaxMs, 20.0);
+        assert!(c.missing);
+        assert!(c
+            .markdown
+            .contains("**MISSING PINNED PROGRAM**: `Barnes-Hut` has a pause_max_ms pin"));
     }
 
     #[test]
     fn pause_budget_is_part_of_the_matching_key() {
-        let unbudgeted =
-            parse_run_records(&json(&[record_line_with_budget("Barnes-Hut", 4, "null")])).unwrap();
-        let budgeted =
-            parse_run_records(&json(&[record_line_with_budget("Barnes-Hut", 4, "250")])).unwrap();
-        assert_eq!(unbudgeted[0].pause_budget_us, None);
-        assert_eq!(budgeted[0].pause_budget_us, Some(250));
+        let unbudgeted = [serving("null", 0, 0)];
+        let budgeted = [serving("250", 0, 0)];
+        assert_eq!(records(&budgeted)[0].pause_budget_us(), Some(250));
 
         // Same program/backend/vprocs/placement, different budget: the
         // budgeted point must NOT be compared against the unbudgeted
         // baseline — it shows up as a missing baseline point plus a new
         // current point instead.
-        let cmp = compare(&unbudgeted, &budgeted, Thresholds::default());
-        assert_eq!(cmp.regressions().len(), 1);
+        let (baseline, current) = (records(&unbudgeted), records(&budgeted));
+        let cmp = compare(&refs(&baseline), &refs(&current));
         assert_eq!(cmp.regressions()[0].verdict, Verdict::Missing);
         assert_eq!(cmp.new_points.len(), 1);
 
-        // Identical budgets still match.
-        let cmp = compare(&budgeted, &budgeted, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-
-        // Records that predate the knob parse as unbudgeted and keep
-        // matching each other.
-        let old = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "50000000",
-            0,
-        )]))
-        .unwrap();
-        assert_eq!(old[0].pause_budget_us, None);
-        let cmp = compare(&old, &unbudgeted, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-    }
-
-    fn record_line_with_latency(
-        program: &str,
-        vprocs: u64,
-        budget: &str,
-        p99: &str,
-        p999: &str,
-    ) -> String {
-        format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"threaded\", \
-             \"vprocs\": {vprocs}, \"placement\": \"node-local\", \
-             \"wall_clock_ns\": 5000000000, \"promoted_bytes\": 0, \
-             \"pause_budget_us\": {budget}, \"requests_served\": 10000, \
-             \"throughput_rps\": 1999.2, \"latency_p50_ns\": 700000, \
-             \"latency_p99_ns\": {p99}, \"latency_p999_ns\": {p999}, \
-             \"latency_max_ns\": 9000000}}"
-        )
+        // Identical budgets still match, and records that predate the knob
+        // read as unbudgeted.
+        assert!(regressions(&budgeted, &budgeted).0.is_empty());
+        let old = [walled("Request-Server", 4, 5000000000, 0)];
+        assert!(regressions(&old, &unbudgeted).0.is_empty());
     }
 
     #[test]
     fn latency_fields_parse_and_default_to_none_on_old_records() {
-        let text = json(&[
-            record_line_with_latency("Request-Server", 4, "null", "2000000", "4000000"),
-            record_line("Request-Server", "threaded", 4, "5000000000", 0),
-        ]);
-        let points = parse_run_records(&text).expect("the records parse");
-        assert_eq!(points[0].latency_p99_ns, Some(2000000.0));
-        assert_eq!(points[0].latency_p999_ns, Some(4000000.0));
-        assert_eq!(points[1].latency_p99_ns, None, "old records lack the field");
-        assert_eq!(points[1].latency_p999_ns, None);
-    }
-
-    #[test]
-    fn latency_thresholds_file_round_trips() {
-        let text = "{\n  \"Request-Server\": 25.0\n}\n";
-        let thresholds = parse_latency_thresholds(text).expect("thresholds parse");
-        assert_eq!(thresholds.len(), 1);
-        assert_eq!(thresholds[0].program, "Request-Server");
-        assert_eq!(thresholds[0].max_p99_ms, 25.0);
+        let sweep = [
+            serving("null", 2000000, 4000000),
+            walled("Request-Server", 4, 5000000000, 0),
+        ];
+        let c = check(&sweep, "Request-Server", Metric::LatencyP99Ms, 25.0);
+        assert_eq!(c.values, vec![Some(2000000.0), None], "old records lack it");
+        assert_eq!(c.details, vec!["p99.9 4.000 ms", "p99.9 — ms"]);
     }
 
     #[test]
     fn latencies_under_the_pin_pass_the_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line_with_latency("Request-Server", 4, "null", "2000000", "4000000"),
-            record_line_with_latency("Request-Server", 4, "500", "2500000", "5000000"),
-        ]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| !r.failed()));
-        assert_eq!(rows[1].pause_budget_us, Some(500));
-        assert!(missing_latency_pinned_programs(&rows, &thresholds).is_empty());
-        assert!(latency_markdown(&rows, &[]).contains("| ok |"));
+        let sweep = [
+            serving("null", 2000000, 4000000),
+            serving("500", 2500000, 5000000),
+        ];
+        let c = check(&sweep, "Request-Server", Metric::LatencyP99Ms, 25.0);
+        assert_eq!(c.failed, vec![false, false]);
+        assert!(!c.missing);
+        assert!(
+            c.markdown.contains("| 4 | 500 | 2.500 | ≤ 25.000 |"),
+            "{}",
+            c.markdown
+        );
     }
 
-    /// The acceptance demonstration for the latency gate: a sweep whose p99
-    /// request latency blows past its absolute pin must turn the comparison
-    /// red.
+    /// The acceptance demonstration for the latency pin: a sweep whose p99
+    /// request latency blows past its absolute pin must turn the gate red.
     #[test]
     fn injected_latency_regression_fails_the_gate() {
-        // 80 ms p99 against a 25 ms pin.
-        let sweep = parse_run_records(&json(&[record_line_with_latency(
-            "Request-Server",
-            4,
-            "null",
-            "80000000",
-            "120000000",
-        )]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        assert!(rows[0].failed(), "80 ms must fail a 25 ms pin");
-        assert!(latency_markdown(&rows, &[]).contains("LATENCY REGRESSION"));
+        let sweep = [serving("null", 80000000, 120000000)];
+        let c = check(&sweep, "Request-Server", Metric::LatencyP99Ms, 25.0);
+        assert_eq!(c.failed, vec![true], "80 ms must fail a 25 ms pin");
+        assert!(c.markdown.contains("LATENCY REGRESSION"));
     }
 
     #[test]
     fn pinned_points_without_latency_telemetry_fail_loudly() {
-        // An old-schema record (no latency fields) for a pinned program must
-        // not silently pass.
-        let sweep = parse_run_records(&json(&[record_line(
-            "Request-Server",
-            "threaded",
-            4,
-            "5000000000",
-            0,
-        )]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        assert!(rows[0].failed());
-
-        // Unpinned programs without telemetry are merely "not pinned".
-        let rows = latency_rows(&sweep, &[]);
-        assert!(!rows[0].failed());
-        assert!(latency_markdown(&rows, &[]).contains("not pinned"));
+        let sweep = [walled("Request-Server", 4, 5000000000, 0)];
+        let c = check(&sweep, "Request-Server", Metric::LatencyP99Ms, 25.0);
+        assert_eq!(c.failed, vec![true]);
+        assert!(check(&sweep, "Other", Metric::LatencyP99Ms, 25.0)
+            .values
+            .is_empty());
     }
 
     #[test]
     fn missing_latency_pins_are_loud() {
-        let sweep = parse_run_records(&json(&[record_line_with_pauses(
-            "Quicksort",
-            2,
-            "1000000",
-            "500000",
-        )]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        let missing = missing_latency_pinned_programs(&rows, &thresholds);
-        assert_eq!(missing, vec!["Request-Server"]);
-        assert!(latency_markdown(&rows, &missing).contains("MISSING PINNED PROGRAM"));
+        let sweep = [paused("Quicksort", 2, 1000000, 500000)];
+        let c = check(&sweep, "Request-Server", Metric::LatencyP99Ms, 25.0);
+        assert!(c.missing);
+        assert!(c.markdown.contains("MISSING PINNED PROGRAM"));
     }
 
     #[test]
     fn missing_points_are_flagged_and_new_points_reported() {
-        let baseline = parse_run_records(&json(&[
-            record_line("Quicksort", "threaded", 2, "20000000", 500000),
-            record_line("SMVM", "threaded", 2, "20000000", 500000),
-        ]))
-        .unwrap();
-        let current = parse_run_records(&json(&[
-            record_line("Quicksort", "threaded", 2, "20000000", 500000),
-            record_line("Raytracer", "threaded", 2, "20000000", 500000),
-        ]))
-        .unwrap();
-        let cmp = compare(&baseline, &current, Thresholds::default());
-        assert_eq!(cmp.regressions().len(), 1);
-        assert_eq!(cmp.regressions()[0].verdict, Verdict::Missing);
-        assert_eq!(cmp.new_points.len(), 1);
-        assert_eq!(cmp.new_points[0].program, "Raytracer");
+        let (verdicts, md) = regressions(
+            &[
+                walled("Quicksort", 2, 20000000, 500000),
+                walled("SMVM", 2, 20000000, 500000),
+            ],
+            &[
+                walled("Quicksort", 2, 20000000, 500000),
+                walled("Raytracer", 2, 20000000, 500000),
+            ],
+        );
+        assert_eq!(verdicts, vec![Verdict::Missing]);
+        assert!(
+            md.contains("New points (no baseline, informational):\n- Raytracer /"),
+            "{md}"
+        );
     }
 
     // ------------------------------------------------------------------
-    // Store-backed queries: the same gates, fed from a results-store
-    // directory through `load_points` instead of a flat file.
+    // Store-backed inputs: both record sets read from one store directory.
     // ------------------------------------------------------------------
 
-    fn store_line(program: &str, vprocs: u64, promoted: u64, extra: &str) -> String {
-        format!(
-            "{{\"schema_version\": 2, \"program\": \"{program}\", \"params\": {{}}, \
-             \"backend\": \"threaded\", \"vprocs\": {vprocs}, \
-             \"placement\": \"node-local\", \"promoted_bytes\": {promoted}{extra}}}"
-        )
-    }
-
-    /// Appends each batch to a fresh temp store and loads it back through
-    /// the directory path of `load_points`.
-    fn load_store(tag: &str, batches: &[Vec<String>]) -> Vec<PerfPoint> {
+    /// Appends each batch to a fresh temp store and opens it.
+    fn open_store(tag: &str, batches: &[Vec<String>]) -> Store {
         let dir = std::env::temp_dir().join(format!("mgc-perfdiff-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let meta = mgc_store::RunMeta {
-            git_rev: "test".to_string(),
-            timestamp_unix: 0,
-            host_nodes: 1,
-            host_cores: 1,
-            scale: "tiny".to_string(),
-            kind: "test".to_string(),
-        };
         for lines in batches {
-            mgc_store::Store::append_lines(&dir, &meta, lines).expect("append succeeds");
+            let meta = mgc_store::RunMeta::capture("test", "tiny");
+            Store::append_lines(&dir, &meta, lines).expect("append succeeds");
         }
-        let points = load_points(&dir).expect("the store loads");
+        let store = Store::open(&dir).expect("the store opens");
         let _ = std::fs::remove_dir_all(&dir);
-        points
+        store
     }
 
     #[test]
     fn store_directories_load_the_latest_record_per_key() {
-        let points = load_store(
+        let store = open_store(
             "latest",
             &[
                 vec![
-                    store_line("Quicksort", 1, 100000, ", \"wall_clock_ns\": 90000000"),
-                    store_line("Quicksort", 4, 100000, ", \"wall_clock_ns\": 40000000"),
+                    walled("Quicksort", 1, 90000000, 0),
+                    walled("Quicksort", 4, 40000000, 0),
                 ],
-                vec![store_line(
-                    "Quicksort",
-                    4,
-                    100000,
-                    ", \"wall_clock_ns\": 34000000",
-                )],
+                vec![walled("Quicksort", 4, 34000000, 0)],
             ],
         );
-        assert_eq!(points.len(), 2, "re-run keys collapse to one point each");
-        assert_eq!(points[0].wall_clock_ns, Some(90000000.0));
+        let current = current_records(&store).expect("the store loads");
+        let walls: Vec<Option<f64>> = current.iter().map(|r| r.wall_clock_ns()).collect();
         assert_eq!(
-            points[1].wall_clock_ns,
-            Some(34000000.0),
-            "the newer batch shadows the older one"
+            walls,
+            vec![Some(90000000.0), Some(34000000.0)],
+            "re-run keys collapse to one point each, and the newer batch shadows the older one"
         );
+
+        // The baseline is the named batches only.
+        let baseline = baseline_records(&store, &[1]).expect("batch 1 exists");
+        assert_eq!(baseline[1].wall_clock_ns(), Some(40000000.0));
+        let err = baseline_records(&store, &[1, 7]).unwrap_err();
+        assert!(err.contains("no batch 7"), "{err}");
     }
 
-    fn healthy_sweep() -> Vec<String> {
+    /// Two Dmm points and a serve point with every pinned metric: speedup
+    /// 2.5×, max pause 3 ms and p99 request latency 2 ms when healthy. A
+    /// regressed sweep has 2.5× the promoted bytes at 1 vproc, a 7.5×
+    /// 4-vproc wall (so a 0.33× speedup), a 50 ms pause and an 80 ms p99.
+    fn sweep(regressed: bool) -> Vec<String> {
+        let (promoted, wall_ms, pause_ms, p99_ms) = if regressed {
+            (250000, 300, 50, 80)
+        } else {
+            (100000, 40, 3, 2)
+        };
+        let dmm = |vprocs, wall_ms: u64, promoted: u64, pause_ms: u64| {
+            let members = format!(
+                "\"wall_clock_ns\": {}, \"promoted_bytes\": {promoted}, \"pause_max_ns\": {}",
+                wall_ms * 1_000_000,
+                pause_ms * 1_000_000
+            );
+            record("Dmm", "threaded", vprocs, &members)
+        };
         vec![
-            store_line(
-                "Dmm",
-                1,
-                100000,
-                ", \"wall_clock_ns\": 100000000, \"pause_max_ns\": 2000000, \
-                 \"pause_p99_ns\": 1000000",
-            ),
-            store_line(
-                "Dmm",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 40000000, \"pause_max_ns\": 2500000, \
-                 \"pause_p99_ns\": 1200000",
-            ),
-            store_line(
-                "Request-Server",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 5000000000, \"pause_budget_us\": null, \
-                 \"latency_p99_ns\": 2000000, \"latency_p999_ns\": 4000000",
-            ),
+            dmm(1, 100, promoted, 2),
+            dmm(4, wall_ms, 100000, pause_ms),
+            serving("null", p99_ms * 1_000_000, 0),
         ]
     }
 
-    fn gate_pins() -> (
-        Vec<SpeedupThreshold>,
-        Vec<PauseThreshold>,
-        Vec<LatencyThreshold>,
-    ) {
-        (
-            vec![SpeedupThreshold {
-                program: "Dmm".to_string(),
-                min_speedup: 2.0,
-            }],
-            vec![PauseThreshold {
-                program: "Dmm".to_string(),
-                max_pause_ms: 20.0,
-            }],
-            vec![LatencyThreshold {
-                program: "Request-Server".to_string(),
-                max_p99_ms: 25.0,
-            }],
+    fn gate_pins() -> Vec<Pin> {
+        parse_pins(
+            "[{\"program\": \"Dmm\", \"metric\": \"speedup\", \"bound\": 2.0},
+              {\"program\": \"Dmm\", \"metric\": \"pause_max_ms\", \"bound\": 20.0},
+              {\"program\": \"Request-Server\", \"metric\": \"latency_p99_ms\", \"bound\": 25.0}]",
         )
+        .expect("the test pins parse")
+    }
+
+    /// The metrics of the failing pin rows over a store's current sweep.
+    fn failed_pins(store: &Store) -> Vec<Metric> {
+        let pins = gate_pins();
+        let current = current_records(store).unwrap();
+        let rows = pin_rows(&current, &pins);
+        assert!(missing_pins(&rows, &pins).is_empty());
+        rows.iter()
+            .filter(|r| r.failed())
+            .map(|r| r.pin.metric)
+            .collect()
     }
 
     #[test]
     fn all_five_gates_pass_on_a_healthy_store() {
-        let baseline = load_store("healthy-base", &[healthy_sweep()]);
-        let current = load_store("healthy-cur", &[healthy_sweep()]);
-        let (speedup_pins, pause_pins, latency_pins) = gate_pins();
-
-        // Gates 1+2: wall-clock and promoted-bytes ratios.
-        let cmp = compare(&baseline, &current, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-        // Gate 3: parallel speedup (2.5× measured vs a 2.0× pin).
-        let rows = speedup_rows(&current, &speedup_pins);
-        assert!(rows.iter().all(|r| !r.failed()));
-        assert!(missing_pinned_programs(&rows, &speedup_pins).is_empty());
-        // Gate 4: max pause (2.5 ms vs a 20 ms pin).
-        let rows = pause_rows(&current, &pause_pins);
-        assert!(rows.iter().all(|r| !r.failed()));
-        // Gate 5: p99 request latency (2 ms vs a 25 ms pin).
-        let rows = latency_rows(&current, &latency_pins);
-        assert!(rows.iter().all(|r| !r.failed()));
+        let store = open_store("healthy", &[sweep(false), sweep(false)]);
+        let baseline = baseline_records(&store, &[1]).unwrap();
+        let current = current_records(&store).unwrap();
+        assert!(compare(&baseline, &current).regressions().is_empty());
+        assert!(failed_pins(&store).is_empty());
     }
 
     /// The exit-1 scenarios, through the store: one appended batch injects
     /// a regression for every gate, and each gate catches its own.
     #[test]
     fn injected_regressions_fail_every_gate_from_the_store() {
-        let baseline = load_store("inject-base", &[healthy_sweep()]);
-        let regressed = vec![
-            // 2.5× promoted bytes (gate 2), well above the 64 KiB floor.
-            store_line(
-                "Dmm",
-                1,
-                250000,
-                ", \"wall_clock_ns\": 100000000, \"pause_max_ns\": 2000000, \
-                 \"pause_p99_ns\": 1000000",
-            ),
-            // 7.5× wall clock (gate 1), which also collapses the 4v/1v
-            // speedup to 0.33× against the 2× pin (gate 3), and a 50 ms
-            // max pause against the 20 ms pin (gate 4).
-            store_line(
-                "Dmm",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 300000000, \"pause_max_ns\": 50000000, \
-                 \"pause_p99_ns\": 12000000",
-            ),
-            // An 80 ms p99 request latency against the 25 ms pin (gate 5).
-            store_line(
-                "Request-Server",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 5000000000, \"pause_budget_us\": null, \
-                 \"latency_p99_ns\": 80000000, \"latency_p999_ns\": 120000000",
-            ),
-        ];
-        // The regressed batch rides on top of the healthy one: latest-per-
-        // key means the gate sees only the regressed records.
-        let current = load_store("inject-cur", &[healthy_sweep(), regressed]);
-        let (speedup_pins, pause_pins, latency_pins) = gate_pins();
-
-        let cmp = compare(&baseline, &current, Thresholds::default());
+        // Latest-per-key means the gate sees only the regressed batch.
+        let store = open_store("inject", &[sweep(false), sweep(true)]);
+        let baseline = baseline_records(&store, &[1]).unwrap();
+        let current = current_records(&store).unwrap();
+        let cmp = compare(&baseline, &current);
         let verdicts: Vec<Verdict> = cmp.regressions().iter().map(|r| r.verdict).collect();
-        assert!(verdicts.contains(&Verdict::WallRegression), "{verdicts:?}");
-        assert!(
-            verdicts.contains(&Verdict::PromotedRegression),
-            "{verdicts:?}"
+        assert_eq!(
+            verdicts,
+            vec![Verdict::PromotedRegression, Verdict::WallRegression]
         );
-
-        let rows = speedup_rows(&current, &speedup_pins);
-        assert!(rows.iter().any(|r| r.failed()), "0.33× must fail a 2× pin");
-        let rows = pause_rows(&current, &pause_pins);
-        assert!(
-            rows.iter().any(|r| r.failed()),
-            "50 ms must fail a 20 ms pin"
-        );
-        let rows = latency_rows(&current, &latency_pins);
-        assert!(
-            rows.iter().any(|r| r.failed()),
-            "80 ms must fail a 25 ms pin"
+        assert_eq!(
+            failed_pins(&store),
+            vec![Metric::Speedup, Metric::PauseMaxMs, Metric::LatencyP99Ms]
         );
     }
 
     #[test]
     fn future_schema_versions_are_rejected_at_load() {
-        let err = parse_run_records(
-            "[\n  {\"schema_version\": 99, \"program\": \"Dmm\", \"backend\": \"threaded\", \
-             \"vprocs\": 1, \"wall_clock_ns\": 1, \"promoted_bytes\": 0}\n]\n",
-        )
-        .unwrap_err();
+        let dir = std::env::temp_dir().join(format!("mgc-perfdiff-future-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let line = walled("Dmm", 1, 1, 0).replace("{", "{\"schema_version\": 99, ");
+        let batch =
+            format!("{{\"store_schema_version\": 1, \"meta\": {{}}, \"records\": [{line}]}}");
+        std::fs::write(dir.join("run-000001.json"), batch).unwrap();
+        let err = Store::open(&dir).unwrap_err().to_string();
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(err.contains("\"schema_version\""), "{err}");
         assert!(err.contains("99"), "{err}");
     }

@@ -7,11 +7,10 @@
 //! prints one row per batch: where the number came from (batch sequence,
 //! git revision, scale, sweep kind), the wall clock, the p99 GC pause, the
 //! p99 request latency, and the wall-clock ratio against the previous
-//! batch's point with the same run-point key (computed through the store's
-//! [`mgc_store::diff`] API, so a vproc-count change between batches
-//! shows as "new key" rather than a bogus ratio).
+//! batch's point when both share a run-point key (a vproc-count change
+//! between batches shows as "new key" rather than a bogus ratio).
 
-use mgc_store::{diff, Batch, Query, Store, StoredRecord};
+use mgc_store::{Batch, Query, Store, StoredRecord};
 use std::fmt::Write as _;
 
 /// The representative point of one batch for one program: the threaded,
@@ -62,14 +61,11 @@ pub fn program_trend(store: &Store, program: &str) -> Option<String> {
             continue;
         };
         let delta = match previous {
-            Some(prev) => {
-                let rows = diff(&[prev], &[record]);
-                match rows.first().and_then(|row| row.wall_ratio()) {
-                    Some(ratio) => format!("×{ratio:.2}"),
-                    None if rows.is_empty() => "new key".to_string(),
-                    None => "–".to_string(),
-                }
-            }
+            Some(prev) if prev.record_key() != record.record_key() => "new key".to_string(),
+            Some(prev) => match (prev.wall_clock_ns(), record.wall_clock_ns()) {
+                (Some(old), Some(new)) if old > 0.0 => format!("×{:.2}", new / old),
+                _ => "–".to_string(),
+            },
             None => "–".to_string(),
         };
         let _ = writeln!(

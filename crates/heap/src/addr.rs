@@ -6,7 +6,6 @@
 //! object; the object's header word sits immediately below the referenced
 //! address (at `addr - 8`), as in the Manticore runtime.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 64-bit machine word: either a header, a pointer, or raw data.
@@ -19,7 +18,7 @@ pub const WORD_BYTES: usize = 8;
 ///
 /// Addresses are always word-aligned. `Addr::NULL` (zero) is the null
 /// reference.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {

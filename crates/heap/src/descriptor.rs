@@ -8,10 +8,9 @@
 //! [`DescriptorTable`] hands out the 15-bit IDs that go into object headers.
 
 use crate::header::{ObjectKind, FIRST_MIXED_ID, MAX_ID};
-use serde::{Deserialize, Serialize};
 
 /// Layout description of one mixed-type object shape.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Descriptor {
     /// Human-readable name, for diagnostics (e.g. `"bh-tree-node"`).
     pub name: String,
@@ -64,7 +63,7 @@ impl Descriptor {
 
 /// Identifier of a registered mixed-object descriptor; this is the value
 /// stored in the header ID field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DescriptorId(u16);
 
 impl DescriptorId {
@@ -90,7 +89,7 @@ impl DescriptorId {
 /// let cons = table.register(Descriptor::new("cons", 2, 0b11));
 /// assert_eq!(table.get(cons.id()).unwrap().pointer_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DescriptorTable {
     descriptors: Vec<Descriptor>,
 }

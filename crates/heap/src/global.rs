@@ -9,12 +9,11 @@ use crate::addr::Addr;
 use crate::chunk::{Chunk, ChunkId, ChunkState};
 use crate::space::{AddressSpace, RegionOwner};
 use mgc_numa::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Counters describing global-heap activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GlobalHeapStats {
     /// Chunks created from fresh address space.
     pub chunks_created: u64,
@@ -27,7 +26,7 @@ pub struct GlobalHeapStats {
 }
 
 /// The global heap: all chunks plus the per-node free lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalHeap {
     chunk_size_words: usize,
     chunks: Vec<Chunk>,

@@ -5,15 +5,12 @@
 //! a private memory controller and L3 cache); each node contains several
 //! *cores*. Virtual processors (vprocs) are pinned to cores.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $label:expr) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u16);
 
         impl $name {

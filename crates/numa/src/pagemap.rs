@@ -5,7 +5,6 @@
 //! later accesses can be charged to the right memory controller and link.
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Size of a simulated physical page, in bytes (4 KiB, matching x86-64).
 pub const PAGE_SIZE: usize = 4096;
@@ -15,7 +14,7 @@ pub const PAGE_SIZE: usize = 4096;
 /// The address space is sparse in principle, but in this reproduction the
 /// heap allocates addresses densely from zero, so a simple growable vector
 /// indexed by page number suffices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PageMap {
     nodes: Vec<Option<NodeId>>,
 }

@@ -5,10 +5,8 @@
 //! HyperTransport/QPI links; [`TrafficStats`] provides that breakdown for a
 //! simulation run.
 
-use serde::{Deserialize, Serialize};
-
 /// Locality class of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessClass {
     /// Access to the node's own DRAM.
     Local,
@@ -44,7 +42,7 @@ impl std::fmt::Display for AccessClass {
 
 /// Cumulative traffic statistics for a run, split by locality class and by
 /// whether the traffic came from the mutator or the garbage collector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrafficStats {
     /// Mutator bytes by class `[local, same-package, cross-package]`.
     pub mutator_bytes: [u64; 3],

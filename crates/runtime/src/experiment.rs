@@ -63,7 +63,6 @@ use crate::threaded::ThreadedMachine;
 use mgc_core::GcConfig;
 use mgc_heap::{HeapConfig, Word};
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The scheduling quantum experiments default to, in virtual nanoseconds.
@@ -469,9 +468,8 @@ pub const RUN_RECORD_SCHEMA_VERSION: u64 = 2;
 /// The complete, self-describing result of one experiment run: the resolved
 /// configuration, the program identity, the root result, and the full
 /// [`RunReport`]. This is the one output format shared by the sweep JSON,
-/// `results/BENCH_threaded.json`, the equivalence suite, and the CI
-/// bench-baseline job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// the results store, the equivalence suite, and the CI perf-gate job.
+#[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The program's name ([`Program::name`]).
     pub program: String,
@@ -507,9 +505,9 @@ impl RunRecord {
         }
     }
 
-    /// Serialises the record as one JSON object (hand-rolled: the vendored
-    /// `serde` shim does not serialise). This is the schema the CI
-    /// bench-baseline job asserts on; every key is declared exactly once in
+    /// Serialises the record as one JSON object (hand-rolled: the workspace
+    /// has no serialisation dependency). This is the schema the CI
+    /// perf-gate job asserts on; every key is declared exactly once in
     /// the `JsonFields` calls below, so the emitted schema cannot drift
     /// from the field list.
     pub fn to_json(&self) -> String {
@@ -675,7 +673,7 @@ fn node_bindings_json(per_vproc: &[crate::stats::VprocRunStats]) -> String {
 }
 
 /// Serialises a slice of records as a JSON array, one record per line (the
-/// format of `results/BENCH_threaded.json`).
+/// format of `results/host_smoke.json`).
 pub fn run_records_json(records: &[RunRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, record) in records.iter().enumerate() {

@@ -31,7 +31,6 @@ use mgc_numa::{
     AdaptiveController, AllocPolicy, MemoryModel, PlacementPolicy, Topology, Traffic, TrafficStats,
     VprocRoundCost,
 };
-use serde::{Deserialize, Serialize};
 
 /// Fixed scheduling overhead charged per executed task, in nanoseconds.
 const TASK_OVERHEAD_NS: f64 = 400.0;
@@ -63,7 +62,7 @@ fn round_limit_from_env() -> u64 {
 /// mutator accesses to it are cache hits and never reach DRAM; accesses to
 /// the global heap miss much more often. These rates determine what fraction
 /// of the touched bytes is charged to the memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutatorCostModel {
     /// Fraction of local-heap bytes that reach DRAM.
     pub local_heap_miss_rate: f64,

@@ -9,7 +9,6 @@
 
 use crate::executor::Executor;
 use mgc_heap::{word_to_f64, word_to_i64, Word};
-use serde::{Deserialize, Serialize};
 
 /// The expected result of a program, used by equivalence tests to check a
 /// run produced the right answer.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// compared with a relative tolerance of `1e-6` — parallel runs fold in
 /// deterministic child order, but the *reference* value is usually computed
 /// by a differently-associated sequential loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Checksum {
     /// An exact integer result.
     I64(i64),

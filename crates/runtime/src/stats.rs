@@ -2,7 +2,6 @@
 
 use mgc_core::{GcStats, Histogram, PauseStats};
 use mgc_numa::{PlacementDecision, TrafficStats};
-use serde::{Deserialize, Serialize};
 
 /// A summary of the end-to-end request latencies a serving program recorded
 /// via [`TaskCtx::record_latency_ns`](crate::TaskCtx::record_latency_ns).
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 pub type LatencyStats = Histogram;
 
 /// Statistics for one vproc over a whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VprocRunStats {
     /// Tasks executed by this vproc.
     pub tasks_run: u64,
@@ -79,7 +78,7 @@ pub struct VprocRunStats {
 /// `wall_clock_ns` empty; the real-threads backend reports the measured
 /// wall-clock duration in **both** (its only notion of time is the real
 /// one).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Total time of the run, in nanoseconds: virtual time on the simulated
     /// backend, wall-clock time on the threaded backend.
@@ -107,7 +106,7 @@ pub struct RunReport {
 
 /// One adaptive placement decision, attributed to the vproc whose
 /// controller made it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VprocPlacementDecision {
     /// The vproc whose controller switched.
     pub vproc: usize,

@@ -18,13 +18,12 @@
 //! mirroring the lazy-promotion scheme the paper uses for work stealing.
 
 use mgc_heap::{Addr, Word};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A task-relative reference to a heap object: index `0` is the task's first
 /// root, and so on. Handles stay valid across garbage collections because
 /// the collector rewrites the underlying root slots in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Handle(pub(crate) usize);
 
 impl Handle {
@@ -35,7 +34,7 @@ impl Handle {
 }
 
 /// Identifier of a join cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JoinId(pub(crate) usize);
 
 /// The result a task body returns.

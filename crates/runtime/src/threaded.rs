@@ -70,7 +70,7 @@
 //!
 //! Time on this backend is the wall clock: [`RunReport::elapsed_ns`] (and
 //! [`RunReport::wall_clock_ns`]) report measured nanoseconds, which is what
-//! the `bench-baseline` CI job tracks for perf regressions.
+//! the `perf-gate` CI job tracks for perf regressions.
 
 use crate::channel::{ChannelId, ChannelState, ChannelStats, Proxy, ProxyId};
 use crate::ctx::TaskCtx;

@@ -36,7 +36,6 @@ use mgc_heap::i64_to_word;
 use mgc_runtime::{
     ChannelId, Checksum, ConfigError, EnvOverrides, Executor, Handle, Program, TaskResult, TaskSpec,
 };
-use serde::{Deserialize, Serialize};
 
 /// Heavy requests allocate this many times the churn of light ones.
 const HEAVY_FACTOR: usize = 4;
@@ -88,7 +87,7 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Parameters of the serving scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeParams {
     /// Number of worker tasks serving requests (ideally one per vproc).
     pub workers: usize,

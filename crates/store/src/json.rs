@@ -1,11 +1,10 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! The vendored `serde` shim derives but does not serialise or parse, so
-//! the store reads its inputs — batch files, legacy flat arrays, corpus
-//! manifests — with this parser instead of the hand-rolled line scanning
-//! `perfdiff` used to do. Two properties matter here:
+//! The workspace has no serialisation dependency, so the store reads its
+//! inputs — batch files, corpus manifests, the perf gate's pin file — with
+//! this parser. Two properties matter here:
 //!
-//! * object fields keep **file order** (the flat record schema is
+//! * object fields keep **file order** (the record schema is
 //!   order-sensitive for humans diffing it);
 //! * numbers keep their **raw source text**, so 64-bit counters round-trip
 //!   exactly instead of taking a lossy detour through `f64`.

@@ -22,17 +22,14 @@
 //!   ingest rejects versions it does not understand with a typed error
 //!   naming the offending field instead of silently misreading the data.
 //! * **Raw fidelity.** A [`StoredRecord`] keeps the exact source text of
-//!   its record object alongside the parsed fields, so exporting a batch
-//!   back to the legacy flat-array format
-//!   ([`Batch::flat_records_json`](store::Batch::flat_records_json)) and
-//!   round-tripping a record through the store are byte-identical
-//!   operations.
+//!   its record object alongside the parsed fields, so round-tripping a
+//!   record through the store is a byte-identical operation.
 //!
 //! Reading happens through [`Query`]: a typed filter builder
 //! (`Query::new().program("Quicksort").backend("threaded").vprocs(4)`)
-//! that yields matched records, the latest record per run-point key, or
-//! cross-run [`diff`] rows. `perfdiff` and the `trend` report are both
-//! built on it; nothing in the tree parses result JSON by hand anymore.
+//! that yields matched records or the latest record per run-point key.
+//! `perfdiff` and the `trend` report are both built on it; nothing in the
+//! tree parses result JSON by hand anymore.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,18 +41,15 @@ pub mod record;
 pub mod store;
 
 pub use json::{JsonError, JsonValue};
-pub use query::{diff, DiffRow, Query};
+pub use query::Query;
 pub use record::{RecordKey, StoredRecord, LEGACY_RECORD_VERSION};
-pub use store::{
-    ingest_flat_file, parse_flat_records, Batch, RunMeta, Store, STORE_SCHEMA_VERSION,
-};
+pub use store::{Batch, RunMeta, Store, STORE_SCHEMA_VERSION};
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
-/// Everything that can go wrong opening, appending to, or ingesting into
-/// the store.
+/// Everything that can go wrong opening or appending to the store.
 #[derive(Debug)]
 pub enum StoreError {
     /// An I/O failure reading or writing under the store directory.
@@ -65,8 +59,8 @@ pub enum StoreError {
         /// The underlying I/O error.
         source: io::Error,
     },
-    /// A batch file, record, or flat input was not valid JSON or not the
-    /// shape the store expects.
+    /// A batch file or record was not valid JSON or not the shape the store
+    /// expects.
     Malformed {
         /// Where the bad input came from (file path or a description).
         context: String,

@@ -112,7 +112,7 @@ impl Query {
     }
 
     /// All matching records from any record iterator (a single batch, a
-    /// flat-file ingest, ...), preserving the input order.
+    /// hand-built list, ...), preserving the input order.
     pub fn run_over<'a>(
         &self,
         records: impl IntoIterator<Item = &'a StoredRecord>,
@@ -151,70 +151,6 @@ impl Query {
         }
         latest
     }
-}
-
-/// One run-point key paired across two record sets — the unit of a
-/// cross-run diff.
-#[derive(Debug, Clone)]
-pub struct DiffRow<'a> {
-    /// The shared identity.
-    pub key: RecordKey,
-    /// The record from the older set.
-    pub older: &'a StoredRecord,
-    /// The record from the newer set.
-    pub newer: &'a StoredRecord,
-}
-
-impl DiffRow<'_> {
-    /// newer/older ratio of a metric both sides report with a non-zero
-    /// older value.
-    fn ratio(&self, metric: impl Fn(&StoredRecord) -> Option<f64>) -> Option<f64> {
-        match (metric(self.older), metric(self.newer)) {
-            (Some(old), Some(new)) if old > 0.0 => Some(new / old),
-            _ => None,
-        }
-    }
-
-    /// Wall-clock ratio (newer/older); `None` unless both sides measured.
-    pub fn wall_ratio(&self) -> Option<f64> {
-        self.ratio(StoredRecord::wall_clock_ns)
-    }
-
-    /// Promoted-bytes ratio (newer/older).
-    pub fn promoted_ratio(&self) -> Option<f64> {
-        self.ratio(|r| r.promoted_bytes().map(|b| b as f64))
-    }
-
-    /// p99-pause ratio (newer/older).
-    pub fn pause_p99_ratio(&self) -> Option<f64> {
-        self.ratio(StoredRecord::pause_p99_ns)
-    }
-
-    /// p99-latency ratio (newer/older).
-    pub fn latency_p99_ratio(&self) -> Option<f64> {
-        self.ratio(StoredRecord::latency_p99_ns)
-    }
-}
-
-/// Pairs two record sets by run-point key: one row per key present in
-/// both, in the newer set's order. Keys only one side has are simply not
-/// rows — callers that care (the wall-clock gate's "missing baseline"
-/// report) detect them from the inputs.
-pub fn diff<'a>(older: &[&'a StoredRecord], newer: &[&'a StoredRecord]) -> Vec<DiffRow<'a>> {
-    newer
-        .iter()
-        .filter_map(|n| {
-            let key = n.record_key();
-            older
-                .iter()
-                .find(|o| o.record_key() == key)
-                .map(|o| DiffRow {
-                    key,
-                    older: o,
-                    newer: n,
-                })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -295,26 +231,5 @@ mod tests {
         );
         assert_eq!(latest[1].program(), "SMVM");
         assert_eq!(latest[2].vprocs(), 4);
-    }
-
-    #[test]
-    fn diff_pairs_matching_keys() {
-        let old = [
-            record("DMM", "threaded", 4, None, 100, 1),
-            record("SMVM", "threaded", 4, None, 50, 1),
-        ];
-        let new = [
-            record("SMVM", "threaded", 4, None, 60, 2),
-            record("Raytracer", "threaded", 4, None, 10, 2),
-        ];
-        let old_refs: Vec<&StoredRecord> = old.iter().collect();
-        let new_refs: Vec<&StoredRecord> = new.iter().collect();
-        let rows = diff(&old_refs, &new_refs);
-        assert_eq!(rows.len(), 1, "only SMVM exists on both sides");
-        assert_eq!(rows[0].key.program, "SMVM");
-        assert_eq!(rows[0].wall_ratio(), Some(1.2));
-        // Older promoted_bytes is 0 here (wall/1000 rounds down): a ratio
-        // against zero is meaningless, so the diff declines to produce one.
-        assert_eq!(rows[0].promoted_ratio(), None);
     }
 }

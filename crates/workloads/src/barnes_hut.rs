@@ -12,7 +12,6 @@
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64, Descriptor, DescriptorId};
 use mgc_runtime::{Checksum, Executor, FieldInit, Handle, Program, TaskCtx, TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Particle count at the benchmark preset. The force phase is close to
 /// quadratic at the opening angle used here, so the benchmark keeps the
@@ -39,7 +38,7 @@ pub fn num_iterations(scale: Scale) -> usize {
 }
 
 /// Parameters of the Barnes-Hut benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarnesHutParams {
     /// Number of particles in the Plummer distribution (the paper uses
     /// 400,000).

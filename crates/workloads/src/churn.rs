@@ -7,10 +7,9 @@
 use crate::scale::Scale;
 use mgc_heap::{i64_to_word, word_to_i64};
 use mgc_runtime::{Checksum, Executor, Handle, Program, TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the churn workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnParams {
     /// Objects each parallel worker allocates.
     pub objects_per_worker: usize,

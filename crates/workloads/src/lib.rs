@@ -18,10 +18,10 @@
 //! long-lived shared data (the Barnes-Hut tree, the SMVM vector), and no
 //! mutation.
 //!
-//! Each benchmark is a [`Program`] with a public, serde-ready parameter
-//! struct (e.g. [`barnes_hut::BarnesHutParams`], [`churn::ChurnParams`]) —
-//! derived from a [`Scale`] but overridable, so the scenario space is not
-//! limited to the paper's fixed inputs. Runs go through the [`Experiment`]
+//! Each benchmark is a [`Program`] with a public parameter struct (e.g.
+//! [`barnes_hut::BarnesHutParams`], [`churn::ChurnParams`]) — derived from
+//! a [`Scale`] but overridable, so the scenario space is not limited to the
+//! paper's fixed inputs. Runs go through the [`Experiment`]
 //! builder:
 //!
 //! # Example
@@ -77,10 +77,9 @@ pub use scale::Scale;
 
 use mgc_numa::{AllocPolicy, Topology};
 use mgc_runtime::{Executor, Experiment, Program};
-use serde::{Deserialize, Serialize};
 
 /// The benchmarks of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Dense-matrix multiplication.
     Dmm,
@@ -165,7 +164,7 @@ impl std::fmt::Display for Workload {
 }
 
 /// One point of a speedup curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Number of threads (vprocs).
     pub threads: usize,

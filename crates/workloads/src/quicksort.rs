@@ -11,7 +11,6 @@ use crate::rope::{build_i64_rope, read_i64_rope};
 use crate::scale::Scale;
 use mgc_heap::{i64_to_word, word_to_i64};
 use mgc_runtime::{Checksum, Executor, Handle, Program, TaskCtx, TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Input size at the benchmark preset: quicksort is the most
 /// allocation-bound workload (every partition builds fresh ropes), so it
@@ -27,7 +26,7 @@ pub fn input_size(scale: Scale) -> usize {
 }
 
 /// Parameters of the quicksort benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuicksortParams {
     /// Number of integers to sort (the paper sorts 10,000,000).
     pub elements: usize,

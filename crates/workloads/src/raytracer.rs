@@ -9,7 +9,6 @@
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64};
 use mgc_runtime::{Checksum, Executor, Program, TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Image edge length at the benchmark preset. Tracing a pixel is cheap, so
 /// the benchmark renders *above* the paper's 512 × 512 to give the run
@@ -25,7 +24,7 @@ pub fn image_size(scale: Scale) -> usize {
 }
 
 /// Parameters of the raytracer benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaytracerParams {
     /// Edge length of the square image (the paper renders 512 × 512).
     pub image_size: usize,

@@ -13,7 +13,6 @@ use crate::rope::{build_f64_rope, LEAF_SIZE};
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64};
 use mgc_runtime::{Checksum, Executor, Program, TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Vector length at the benchmark preset. A row costs only a few dozen
 /// flops, so the benchmark multiplies a matrix about 8× the paper's to
@@ -30,7 +29,7 @@ pub fn vector_length(scale: Scale) -> usize {
 
 /// Parameters of the SMVM benchmark. The matrix is square-ish: one row per
 /// vector element, [`NNZ_PER_ROW`] non-zeroes per row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmvmParams {
     /// Length of the shared dense vector (the paper uses 16,614).
     pub vector_length: usize,
